@@ -7,7 +7,7 @@
 //
 // Every experiment is registered under a stable name (see -list); -run
 // accepts exact names, the group names "ablations" and "extensions", and
-// "all". The older -exp, -faults and -fault-rate flags remain as aliases.
+// "all". -fault-rate restricts the "faults" sweep to one rate.
 //
 // Each experiment prints the same rows or series the paper reports; the
 // paper's published values are included alongside where applicable (Table 1)
@@ -36,10 +36,8 @@ func main() {
 	scaleFlag := flag.String("scale", "small", "experiment scale: small or paper")
 	runFlag := flag.String("run", "", "comma-separated experiment names (see -list); groups: ablations, extensions, all")
 	listFlag := flag.Bool("list", false, "list registered experiment names and exit")
-	expFlag := flag.String("exp", "", "alias for -run (kept for compatibility)")
 	format := flag.String("format", "text", "output format for tables: text or csv")
 	jobs := flag.Int("j", 0, "max concurrent simulated machines (0 = one per core, 1 = serial); output is identical at any value")
-	faultsFlag := flag.Bool("faults", false, "run the fault-injection sweep (overhead and survival vs fault rate); shorthand for -run faults")
 	faultRate := flag.Float64("fault-rate", -1, "restrict the fault sweep to a single rate (plus the fault-free baseline); default sweeps the built-in rates")
 	hostTiming := flag.Bool("host-timing", false, "measure host-clock columns (codec sweep ns/op); nondeterministic, off by default")
 	tracePath := flag.String("trace", "", "write a machine-readable JSONL trace of trace-capable experiments (ext/fleet-sweep) to this file")
@@ -67,19 +65,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Merge the aliases into one selection: -run wins, then -exp, then the
-	// -faults shorthand, then the full suite.
 	selection := *runFlag
-	if selection == "" {
-		selection = *expFlag
-	}
-	if *faultsFlag {
-		if selection == "" || selection == "all" {
-			selection = "faults"
-		} else if !strings.Contains(","+selection+",", ",faults,") {
-			selection += ",faults"
-		}
-	}
 	if selection == "" {
 		selection = "all"
 	}

@@ -188,16 +188,15 @@ func (c *Cluster) SnapshotCycle() error {
 	if err := c.Kernel.SnapshotTo(w); err != nil {
 		return fmt.Errorf("cluster: snapshot: %w", err)
 	}
-	img, err := w.Bytes()
-	if err != nil {
-		return fmt.Errorf("cluster: snapshot: %w", err)
-	}
-	r, err := snap.NewReader(img)
+	r, err := snap.NewReader(w.Bytes())
 	if err != nil {
 		return fmt.Errorf("cluster: restore: %w", err)
 	}
 	k := sim.NewKernel()
 	if err := k.RestoreFrom(r); err != nil {
+		return fmt.Errorf("cluster: restore: %w", err)
+	}
+	if err := r.Close(); err != nil {
 		return fmt.Errorf("cluster: restore: %w", err)
 	}
 	for i, m := range c.machines {

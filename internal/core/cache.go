@@ -142,12 +142,11 @@ type DropFunc func(key swap.PageKey)
 
 // Cache is the compression cache.
 type Cache struct {
-	params Params     //cclint:ignore snapcover -- config: fixed at construction; the restore target is built with the same params
-	clock  *sim.Clock //cclint:ignore snapcover -- wiring: injected at construction, not replay state
-	pool   *mem.Pool  //cclint:ignore snapcover -- wiring: injected at construction, not replay state
+	params Params
+	clock  *sim.Clock
+	pool   *mem.Pool
 
-	frames []*ccFrame // ring order; frames[0] is the oldest
-	//cclint:ignore snapcover -- derived: the snapshot encodes the entry table via the frame ring
+	frames  []*ccFrame // ring order; frames[0] is the oldest
 	entries map[swap.PageKey]*Entry
 	order   []*Entry // insertion order; order[head:] are current, nil = killed
 	head    int
@@ -161,17 +160,17 @@ type Cache struct {
 	// steady-state insert/kill cycle allocation-free. All bookkeeping is
 	// per-cache and single-goroutine, so recycling cannot perturb
 	// determinism.
-	slabs      [][]byte      //cclint:ignore snapcover -- scratch: recycling freelist, refilled on demand
-	entryPool  []*Entry      //cclint:ignore snapcover -- scratch: recycling freelist, refilled on demand
-	framePool  []*ccFrame    //cclint:ignore snapcover -- scratch: recycling freelist, refilled on demand
-	acqBuf     []mem.FrameID //cclint:ignore snapcover -- scratch: Insert's frame-acquisition buffer, dead between calls
-	cleanBatch []*Entry      //cclint:ignore snapcover -- scratch: Clean's batch buffer, dead between calls
-	cleanItems []swap.Item   //cclint:ignore snapcover -- scratch: Clean's flush-item buffer, dead between calls
+	slabs      [][]byte
+	entryPool  []*Entry
+	framePool  []*ccFrame
+	acqBuf     []mem.FrameID
+	cleanBatch []*Entry
+	cleanItems []swap.Item
 
 	flush  FlushFunc
 	onDrop DropFunc
 
-	bus *obs.Bus //cclint:ignore snapcover -- wiring: observability bus attached separately
+	bus *obs.Bus
 
 	st stats.CC
 }

@@ -91,18 +91,16 @@ func (p Params) TransferTime(n int) time.Duration {
 // an access that starts where the previous one ended skips seek and
 // rotational delay, which is how clustered swap writes earn their bandwidth.
 type Disk struct {
-	params Params     //cclint:ignore snapcover -- config: fixed at construction; the restore target is built with the same params
-	clock  *sim.Clock //cclint:ignore snapcover -- wiring: injected at construction, not replay state
-	busyAt sim.Time   // device is busy until this instant
-	next   int64      // byte address one past the previous access
+	params Params
+	clock  *sim.Clock
+	busyAt sim.Time // device is busy until this instant
+	next   int64    // byte address one past the previous access
 	stats  stats.Disk
-	faults *fault.Injector //cclint:ignore snapcover -- wiring: the injector snapshots itself separately
+	faults *fault.Injector
 
-	bus *obs.Bus //cclint:ignore snapcover -- wiring: observability bus attached separately
-	//cclint:ignore snapcover -- observability: per-run histogram, not replay state
+	bus      *obs.Bus
 	waitHist *obs.Histogram // disk.queue_wait — delay behind queued work
-	//cclint:ignore snapcover -- observability: per-run histogram, not replay state
-	svcHist *obs.Histogram // disk.service — positioning plus transfer
+	svcHist  *obs.Histogram // disk.service — positioning plus transfer
 }
 
 // New creates a disk on the given clock.

@@ -139,11 +139,10 @@ func (c Config) Validate() error {
 // Injector is not safe for concurrent use; like the clock it belongs to
 // exactly one single-threaded simulated machine.
 type Injector struct {
-	cfg   Config     //cclint:ignore snapcover -- config: fixed at construction; restore reads only cfg.Seed
-	clock *sim.Clock //cclint:ignore snapcover -- wiring: injected at construction, not replay state
-	src   countingSource
-	rng   *rand.Rand //cclint:ignore snapcover -- derived: re-synced from cfg.Seed by replaying the counted src draws
-	bus   *obs.Bus   //cclint:ignore snapcover -- wiring: observability bus attached separately
+	cfg   Config
+	clock *sim.Clock
+	rng   *rand.Rand
+	bus   *obs.Bus
 	st    stats.Faults
 
 	writeSeq  uint64   // device writes seen (crash-point numbering)
@@ -152,33 +151,13 @@ type Injector struct {
 	crashTime sim.Time // virtual instant of the crash
 }
 
-// countingSource wraps a rand.Source and counts raw Int63 draws. rand.Rand's
-// derived methods (Float64, Intn) consume a variable number of raw draws via
-// rejection sampling, so replaying the generator exactly — which snapshot/
-// restore must do — requires counting at the source, not at the call sites.
-type countingSource struct {
-	src rand.Source
-	n   uint64
-}
-
-func (s *countingSource) Int63() int64 {
-	s.n++
-	return s.src.Int63()
-}
-
-func (s *countingSource) Seed(seed int64) {
-	s.n = 0
-	s.src.Seed(seed)
-}
-
 // New creates an injector on the given clock.
 func New(cfg Config, clock *sim.Clock) (*Injector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	in := &Injector{cfg: cfg, clock: clock}
-	in.src.src = rand.NewSource(cfg.Seed)
-	in.rng = rand.New(&in.src)
+	in.rng = rand.New(rand.NewSource(cfg.Seed))
 	return in, nil
 }
 

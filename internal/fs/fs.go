@@ -90,12 +90,11 @@ type CompressedBlockCache interface {
 
 // FS is a simulated block file system on one device.
 type FS struct {
-	opts  Options              //cclint:ignore snapcover -- config: fixed at construction; the restore target is built with the same options
-	disk  Device               //cclint:ignore snapcover -- wiring: injected at construction, not replay state
-	clock *sim.Clock           //cclint:ignore snapcover -- wiring: injected at construction, not replay state
-	pool  *mem.Pool            //cclint:ignore snapcover -- wiring: injected at construction, not replay state
-	ccb   CompressedBlockCache //cclint:ignore snapcover -- wiring: the optional block cache snapshots itself separately
-	//cclint:ignore snapcover -- scratch: eviction copy buffer, dead between operations
+	opts    Options
+	disk    Device
+	clock   *sim.Clock
+	pool    *mem.Pool
+	ccb     CompressedBlockCache
 	scratch []byte // eviction copy buffer for the block cache
 	nextID  int32
 
@@ -109,12 +108,10 @@ type FS struct {
 
 	cache   map[blockKey]*cacheBlock
 	lruHead *cacheBlock // least recently used
-	//cclint:ignore snapcover -- derived: tail of the LRU list, re-linked as restore replays insertions
-	lruTail   *cacheBlock // most recently used
-	hits      uint64
-	misses    uint64
-	ccHits    uint64 // misses served by the compressed block cache
-	writeHits uint64
+	lruTail *cacheBlock // most recently used
+	hits    uint64
+	misses  uint64
+	ccHits  uint64 // misses served by the compressed block cache
 }
 
 type blockKey struct {

@@ -1,15 +1,16 @@
 package lint
 
 // snapcover: a SnapshotTo/RestoreFrom pair must cover every stored field
-// of its receiver. The crash-consistency layer (internal/snap) trusts the
-// pair to round-trip the component's whole state; a field added to vm or
-// swap state but never serialized silently drifts after recovery — the
-// snapshot "succeeds", the restore "succeeds", and the first divergence
-// shows up as a corrupted replay three layers away. Genuinely derived or
-// transient fields (recomputed indexes, wiring to sibling components,
-// scratch buffers) opt out with a reasoned directive on the field line:
+// of its receiver. A snapshot encoded with internal/snap (today the
+// sim.Kernel pair every fleet cell cycles through) is trusted to round-trip
+// the component's whole state; a field added to the kernel but never
+// serialized silently drifts after restore — the snapshot "succeeds", the
+// restore "succeeds", and the first divergence shows up as a diverged
+// fleet schedule far from the cause. Genuinely derived or transient fields
+// (wiring to sibling components, runtime state spent outside a snapshot
+// boundary) opt out with a reasoned directive on the field line:
 //
-//	byStart map[int64]int //cclint:ignore snapcover -- derived: rebuilt from extents on restore
+//	current ActorID //cclint:ignore snapcover -- runtime: no actor holds the baton at a snapshot boundary
 //
 // The analyzer pairs methods by shape — SnapshotTo with a parameter from
 // an internal/snap package, RestoreFrom likewise — then walks everything

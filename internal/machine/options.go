@@ -45,9 +45,7 @@ func WithObs(o obs.Options) Option {
 // kernel-mediated wait; driving an attached machine outside the kernel's
 // scheduler panics on the first wait. Each machine of a fleet needs a
 // distinct actor id, and the id doubles as the event tie-breaker, so fleet
-// composition — not attachment order — determines the schedule. Attached
-// machines cannot use Machine.Snapshot (the kernel snapshots instead; see
-// sim.Kernel.SnapshotTo).
+// composition — not attachment order — determines the schedule.
 func WithKernel(k *sim.Kernel, id sim.ActorID) Option {
 	return func(b *buildOpts) {
 		b.kernel = k

@@ -55,7 +55,7 @@ type Pool struct {
 	data     []byte // one backing array, sliced per frame
 	owner    []Owner
 	free     []FrameID
-	counts   [numOwners]int //cclint:ignore snapcover -- derived: recomputed from the owner table on restore
+	counts   [numOwners]int
 }
 
 // NewPool creates a pool of n frames of pageSize bytes each.

@@ -50,15 +50,12 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // flavours return the same instants for the same call sequence.
 type Clock struct {
 	now    Time
-	kernel *Kernel //cclint:ignore snapcover -- wiring: the kernel snapshots itself separately
-	actor  ActorID //cclint:ignore snapcover -- wiring: per-actor clock views are re-derived on attach
+	kernel *Kernel
+	actor  ActorID
 }
 
 // Now reports the current virtual time.
 func (c *Clock) Now() Time { return c.now }
-
-// Attached reports whether the clock is bound to a discrete-event kernel.
-func (c *Clock) Attached() bool { return c.kernel != nil }
 
 // Actor reports the kernel actor ID of an attached clock (zero otherwise).
 func (c *Clock) Actor() ActorID { return c.actor }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -173,10 +175,7 @@ func TestKernelSnapshotRestoreMidRun(t *testing.T) {
 	if err := k1.SnapshotTo(w); err != nil {
 		t.Fatalf("SnapshotTo: %v", err)
 	}
-	img, err := w.Bytes()
-	if err != nil {
-		t.Fatalf("snapshot bytes: %v", err)
-	}
+	img := w.Bytes()
 	pausePCs := append([]int(nil), pcs1...)
 	prefixLen := len(log1)
 
@@ -229,6 +228,65 @@ func TestKernelSnapshotRefusesPendingTimer(t *testing.T) {
 	if err := k.SnapshotTo(w); err == nil {
 		t.Fatal("SnapshotTo allowed a pending timer callback")
 	}
+}
+
+// TestKernelRestoreRejectsMalformed feeds the restore path well-checksummed
+// streams whose contents lie: each must come back as an error, never a panic
+// in RestoreFrom or a kernel that panics later in Run. The restore is checked
+// the way SnapshotCycle does it, RestoreFrom followed by Reader.Close.
+func TestKernelRestoreRejectsMalformed(t *testing.T) {
+	// stream writes a kernel section at time 10, seq 5, with the given
+	// actor and event counts; body appends the records that follow.
+	stream := func(actors, events int, body func(w *snap.Writer)) []byte {
+		w := snap.NewWriter()
+		w.Section("sim.kernel")
+		w.I64(10)
+		w.U64(5)
+		w.Int(actors)
+		w.I32(0)
+		w.I64(10)
+		w.Int(events)
+		body(w)
+		return w.Bytes()
+	}
+	event := func(w *snap.Writer, id int32) {
+		w.I64(10)
+		w.I32(id)
+		w.U64(1)
+	}
+	cases := map[string][]byte{
+		"negative actor count": stream(-1, 0, func(*snap.Writer) {}),
+		"huge actor count":     stream(1<<40, 0, func(*snap.Writer) {}),
+		"negative event count": stream(1, -3, func(*snap.Writer) {}),
+		"huge event count":     stream(1, 1<<40, func(w *snap.Writer) { event(w, 0) }),
+		"unknown actor":        stream(1, 1, func(w *snap.Writer) { event(w, 9) }),
+		"trailing byte":        withTrailingByte(stream(1, 1, func(w *snap.Writer) { event(w, 0) })),
+	}
+	for name, img := range cases {
+		t.Run(name, func(t *testing.T) {
+			r, err := snap.NewReader(img)
+			if err != nil {
+				t.Fatalf("NewReader: %v", err)
+			}
+			k := NewKernel()
+			if err := k.RestoreFrom(r); err != nil {
+				if k.Pending() != 0 || len(k.actors) != 0 {
+					t.Errorf("refused restore left %d events and %d actors behind", k.Pending(), len(k.actors))
+				}
+				return
+			}
+			if err := r.Close(); err == nil {
+				t.Fatal("malformed kernel snapshot accepted")
+			}
+		})
+	}
+}
+
+// withTrailingByte appends one byte to a sealed snapshot stream and seals it
+// again, so only the stream's length is wrong.
+func withTrailingByte(img []byte) []byte {
+	body := append(img[:len(img)-4:len(img)-4], 0)
+	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
 }
 
 // TestKernelWaitBackwardPanics: virtual time never runs backward, attached

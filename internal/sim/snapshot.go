@@ -8,23 +8,6 @@ import (
 	"compcache/internal/snap"
 )
 
-// SnapshotTo serializes the clock for a machine snapshot.
-func (c *Clock) SnapshotTo(w *snap.Writer) {
-	w.Section("sim.clock")
-	w.I64(int64(c.now))
-}
-
-// RestoreFrom rewinds (or advances) the clock to a snapshotted instant.
-func (c *Clock) RestoreFrom(r *snap.Reader) error {
-	r.Section("sim.clock")
-	now := Time(r.I64())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	c.now = now
-	return nil
-}
-
 // SnapshotTo serializes the kernel: global time, the sequence counter, every
 // actor's clock instant, and the pending resume events in dispatch order with
 // their original sequence numbers, so a restored kernel replays the exact
@@ -65,10 +48,20 @@ func (k *Kernel) SnapshotTo(w *snap.Writer) error {
 	return nil
 }
 
+// Encoded sizes of one actor record (id, clock instant) and one resume event
+// (instant, actor id, sequence number), which bound the counts a restore
+// will believe.
+const (
+	actorRecordBytes = 4 + 8
+	eventRecordBytes = 8 + 4 + 8
+)
+
 // RestoreFrom loads a kernel snapshot into a fresh kernel. Each restored
 // actor must then be re-attached with Attach (its clock adopts the restored
 // instant) and, if it had a pending resume event, re-armed with Bind so the
-// wake-up has a continuation to start. The kernel must be empty.
+// wake-up has a continuation to start. The kernel must be empty. A malformed
+// snapshot is refused with an error and leaves the kernel untouched; the
+// caller checks the stream was consumed exactly with Reader.Close.
 func (k *Kernel) RestoreFrom(r *snap.Reader) error {
 	if k.running || len(k.actors) != 0 || len(k.heap) != 0 {
 		return errors.New("sim: kernel restore into non-empty kernel")
@@ -76,23 +69,21 @@ func (k *Kernel) RestoreFrom(r *snap.Reader) error {
 	r.Section("sim.kernel")
 	now := Time(r.I64())
 	seq := r.U64()
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
+	actors := make(map[ActorID]*actorState)
+	var ids []ActorID
+	for i, n := 0, r.Count(actorRecordBytes); i < n; i++ {
+		id := ActorID(r.I32())
+		at := Time(r.I64())
+		if id < 0 {
+			return fmt.Errorf("sim: negative actor id %d in kernel snapshot", id)
+		}
+		if _, dup := actors[id]; dup {
+			return fmt.Errorf("sim: duplicate actor %d in kernel snapshot", id)
+		}
+		actors[id] = &actorState{id: id, resume: make(chan Time), save: at}
+		ids = append(ids, id)
 	}
-	type actorSave struct {
-		id ActorID
-		at Time
-	}
-	saves := make([]actorSave, n)
-	for i := range saves {
-		saves[i] = actorSave{id: ActorID(r.I32()), at: Time(r.I64())}
-	}
-	ne := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	evs := make([]event, ne)
+	evs := make([]event, r.Count(eventRecordBytes))
 	for i := range evs {
 		evs[i] = event{at: Time(r.I64()), id: ActorID(r.I32()), kind: evResume}
 		evs[i].seq = r.U64()
@@ -100,16 +91,16 @@ func (k *Kernel) RestoreFrom(r *snap.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
+	for _, e := range evs {
+		if actors[e.id] == nil {
+			return fmt.Errorf("sim: kernel snapshot holds a resume event for unknown actor %d", e.id)
+		}
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	k.now = now
 	k.seq = seq
-	for _, s := range saves {
-		if _, dup := k.actors[s.id]; dup {
-			return fmt.Errorf("sim: duplicate actor %d in kernel snapshot", s.id)
-		}
-		k.actors[s.id] = &actorState{id: s.id, resume: make(chan Time), save: s.at}
-		k.ids = append(k.ids, s.id)
-	}
-	sort.Slice(k.ids, func(i, j int) bool { return k.ids[i] < k.ids[j] })
+	k.actors = actors
+	k.ids = ids
 	k.heap = append(k.heap, evs...)
 	// The events were written in dispatch order, which is a valid heap
 	// layout already, but establish the invariant explicitly.

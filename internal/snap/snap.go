@@ -1,81 +1,52 @@
-// Package snap is the versioned binary encoding machine snapshots use: a
-// fixed-width little-endian stream with a magic/version header and a CRC-32
-// trailer. Both ends carry sticky errors, so callers chain field writes and
-// reads without per-call checks and inspect the error once at the end —
-// the idiom keeps the per-subsystem SnapshotTo/RestoreFrom methods flat.
+// Package snap is the versioned binary encoding of the discrete-event
+// kernel's snapshot (sim.Kernel.SnapshotTo/RestoreFrom): a fixed-width
+// little-endian stream with a magic/version header and a CRC-32 trailer. The
+// reader carries a sticky error, so a restore chains field reads without
+// per-call checks and inspects the error once at the end.
 //
 // The format is deliberately dumb: no varints, no compression, no field
-// tags. Snapshots are pure functions of machine state, so two runs that
-// reach the same state produce byte-identical snapshots — the property the
-// determinism tests assert — and any structural drift between writer and
-// reader surfaces as a checksum or length failure rather than silently
-// misaligned fields.
+// tags. A snapshot is a pure function of kernel state, so two runs that
+// reach the same state produce byte-identical snapshots, and any structural
+// drift between writer and reader surfaces as a checksum, section or length
+// failure rather than silently misaligned fields.
 package snap
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"time"
 )
 
 // Magic opens every snapshot stream.
 var Magic = [4]byte{'C', 'C', 'S', 'N'}
 
 // Version is the current snapshot format version. Bump it on any change to
-// what the subsystems write; Restore refuses other versions.
+// what the writers emit; NewReader refuses other versions.
 const Version = 1
 
 // Writer serializes fixed-width values into a growing buffer.
 type Writer struct {
 	buf []byte
-	err error
 }
 
 // NewWriter begins a snapshot stream: magic then version.
 func NewWriter() *Writer {
 	w := &Writer{buf: make([]byte, 0, 4096)}
 	w.buf = append(w.buf, Magic[:]...)
-	w.U16(Version)
+	var v [2]byte
+	binary.LittleEndian.PutUint16(v[:], Version)
+	w.buf = append(w.buf, v[:]...)
 	return w
 }
 
-// Err reports the sticky error.
-func (w *Writer) Err() error { return w.err }
-
 // Bytes finalizes the stream: a CRC-32 of everything written so far is
 // appended and the full buffer returned. The writer must not be used again.
-func (w *Writer) Bytes() ([]byte, error) {
-	if w.err != nil {
-		return nil, w.err
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(w.buf))
-	w.buf = append(w.buf, crc[:]...)
-	return w.buf, nil
+func (w *Writer) Bytes() []byte {
+	w.u32(crc32.ChecksumIEEE(w.buf))
+	return w.buf
 }
 
-// U8 writes one byte.
-func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
-
-// Bool writes a boolean as one byte.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-}
-
-// U16 writes a little-endian uint16.
-func (w *Writer) U16(v uint16) {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	w.buf = append(w.buf, b[:]...)
-}
-
-// U32 writes a little-endian uint32.
-func (w *Writer) U32(v uint32) {
+func (w *Writer) u32(v uint32) {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
 	w.buf = append(w.buf, b[:]...)
@@ -89,7 +60,7 @@ func (w *Writer) U64(v uint64) {
 }
 
 // I32 writes a little-endian int32.
-func (w *Writer) I32(v int32) { w.U32(uint32(v)) }
+func (w *Writer) I32(v int32) { w.u32(uint32(v)) }
 
 // I64 writes a little-endian int64.
 func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
@@ -97,25 +68,13 @@ func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
 // Int writes an int as 64 bits.
 func (w *Writer) Int(v int) { w.I64(int64(v)) }
 
-// Dur writes a time.Duration as 64 bits.
-func (w *Writer) Dur(v time.Duration) { w.I64(int64(v)) }
-
-// Bytes32 writes a length-prefixed byte slice (uint32 length).
-func (w *Writer) Bytes32(p []byte) {
-	w.U32(uint32(len(p)))
-	w.buf = append(w.buf, p...)
+// Section writes a named section marker (a uint32 length, then the name).
+// Markers cost a few bytes and turn a misaligned restore into an immediate,
+// located error instead of a garbage-field cascade.
+func (w *Writer) Section(name string) {
+	w.u32(uint32(len(name)))
+	w.buf = append(w.buf, name...)
 }
-
-// String writes a length-prefixed string.
-func (w *Writer) String(s string) {
-	w.U32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-// Section writes a named section marker. Markers cost a few bytes and turn
-// a misaligned restore into an immediate, located error instead of a
-// garbage-field cascade.
-func (w *Writer) Section(name string) { w.String(name) }
 
 // Reader decodes a stream produced by Writer.
 type Reader struct {
@@ -137,11 +96,10 @@ func NewReader(data []byte) (*Reader, error) {
 	if [4]byte{data[0], data[1], data[2], data[3]} != Magic {
 		return nil, fmt.Errorf("snap: bad magic")
 	}
-	r := &Reader{buf: body, off: 4}
-	if v := r.U16(); v != Version {
+	if v := binary.LittleEndian.Uint16(body[4:6]); v != Version {
 		return nil, fmt.Errorf("snap: version %d, this build reads %d", v, Version)
 	}
-	return r, nil
+	return &Reader{buf: body, off: 6}, nil
 }
 
 // Err reports the sticky error.
@@ -171,29 +129,7 @@ func (r *Reader) take(n int) []byte {
 	return b
 }
 
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-// Bool reads a boolean.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
-
-// U16 reads a little-endian uint16.
-func (r *Reader) U16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-// U32 reads a little-endian uint32.
-func (r *Reader) U32() uint32 {
+func (r *Reader) u32() uint32 {
 	b := r.take(4)
 	if b == nil {
 		return 0
@@ -211,7 +147,7 @@ func (r *Reader) U64() uint64 {
 }
 
 // I32 reads a little-endian int32.
-func (r *Reader) I32() int32 { return int32(r.U32()) }
+func (r *Reader) I32() int32 { return int32(r.u32()) }
 
 // I64 reads a little-endian int64.
 func (r *Reader) I64() int64 { return int64(r.U64()) }
@@ -219,45 +155,26 @@ func (r *Reader) I64() int64 { return int64(r.U64()) }
 // Int reads an int written by Writer.Int.
 func (r *Reader) Int() int { return int(r.I64()) }
 
-// Dur reads a time.Duration.
-func (r *Reader) Dur() time.Duration { return time.Duration(r.I64()) }
-
-// Bytes32 reads a length-prefixed byte slice. The slice is a copy.
-func (r *Reader) Bytes32() []byte {
-	n := int(r.U32())
+// Count reads an element count written by Writer.Int for a run of elements
+// of size bytes each. A count that is negative, or that claims more elements
+// than the bytes left in the stream could hold, fails the stream and reads
+// as zero, so a corrupt count can never size an allocation.
+func (r *Reader) Count(size int) int {
+	n := r.Int()
+	if left := len(r.buf) - r.off; r.err == nil && (n < 0 || n > left/size) {
+		r.err = fmt.Errorf("snap: count %d of %d-byte elements overruns the %d bytes left", n, size, left)
+	}
 	if r.err != nil {
-		return nil
+		return 0
 	}
-	b := r.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
-}
-
-// String reads a length-prefixed string.
-func (r *Reader) String() string {
-	n := int(r.U32())
-	if r.err != nil {
-		return ""
-	}
-	b := r.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
+	return n
 }
 
 // Section consumes a section marker and fails the stream if it does not
 // match — the first line of defense against writer/reader drift.
 func (r *Reader) Section(name string) {
-	if r.err != nil {
-		return
-	}
-	got := r.String()
-	if r.err == nil && got != name {
+	got := r.take(int(r.u32()))
+	if r.err == nil && string(got) != name {
 		r.err = fmt.Errorf("snap: section %q, want %q (writer/reader drift)", got, name)
 	}
 }

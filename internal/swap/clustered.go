@@ -110,22 +110,21 @@ type Neighbor struct {
 // explicit page map; stale copies accumulate as garbage until a compaction
 // pass rewrites the live data densely.
 type Clustered struct {
-	cfg       ClusterConfig //cclint:ignore snapcover -- config: fixed at construction; the restore target is built with the same config
-	fsys      *fs.FS        //cclint:ignore snapcover -- wiring: injected at construction, not replay state
-	file      *fs.File      //cclint:ignore snapcover -- wiring: handle reopened through the restored fs
-	blockSize int           //cclint:ignore snapcover -- config: derived from the fs block size at construction
-	fragsPerB int           //cclint:ignore snapcover -- config: derived from cfg at construction, identical in the restore target
+	cfg       ClusterConfig
+	fsys      *fs.FS
+	file      *fs.File
+	blockSize int
+	fragsPerB int
 
 	// marked[i] is true when fragment i is part of a live extent or is
 	// cluster padding; free (reusable) fragments are false.
 	marked  []bool
 	extents map[PageKey]extent
-	//cclint:ignore snapcover -- derived: reverse index rebuilt from extents on restore
 	byStart map[int32]PageKey
-	liveFr  int  // fragments covered by live extents
-	padFr   int  // marked fragments belonging to no extent (padding)
-	hint    int  // first-fit search start
-	inGC    bool //cclint:ignore snapcover -- transient: only true inside a GC pass, never at a snapshot boundary
+	liveFr  int // fragments covered by live extents
+	padFr   int // marked fragments belonging to no extent (padding)
+	hint    int // first-fit search start
+	inGC    bool
 
 	// Commit-record state (CommitRecords mode): seq orders clusters for
 	// recovery; attempted remembers the item checksums of a crash-torn
@@ -134,20 +133,19 @@ type Clustered struct {
 	seq       uint64
 	attempted map[PageKey]uint32
 
-	bus *obs.Bus //cclint:ignore snapcover -- wiring: observability bus attached separately
-	//cclint:ignore snapcover -- wiring: injected at construction, not replay state
+	bus   *obs.Bus
 	clock *sim.Clock // event timestamps only; the fs layer charges the I/O
 
 	// readBuf and readNbrs back the slices Read returns; they are reused on
 	// the next Read, which is why Read's results are borrow-only.
-	readBuf  []byte     //cclint:ignore snapcover -- scratch: Read's borrow-only result buffer, dead between calls
-	readNbrs []Neighbor //cclint:ignore snapcover -- scratch: Read's borrow-only neighbor list, dead between calls
+	readBuf  []byte
+	readNbrs []Neighbor
 
 	// placeBuf and writeBuf are WriteCluster's layout and serialization
 	// scratch, reused across calls; the device copies the bytes out before
 	// WriteCluster returns, so nothing aliases them afterwards.
-	placeBuf []placement //cclint:ignore snapcover -- scratch: WriteCluster's layout buffer, dead between calls
-	writeBuf []byte      //cclint:ignore snapcover -- scratch: WriteCluster's serialization buffer, dead between calls
+	placeBuf []placement
+	writeBuf []byte
 
 	st stats.Swap
 }

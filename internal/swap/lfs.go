@@ -119,23 +119,21 @@ type lfsPending struct {
 
 // LFS is the log-structured store.
 type LFS struct {
-	cfg  LFSConfig //cclint:ignore snapcover -- config: fixed at construction; the restore target is built with the same config
-	fsys *fs.FS    //cclint:ignore snapcover -- wiring: injected at construction, not replay state
-	file *fs.File  //cclint:ignore snapcover -- wiring: handle reopened through the restored fs
-	pool *mem.Pool //cclint:ignore snapcover -- wiring: injected at construction, not replay state
+	cfg  LFSConfig
+	fsys *fs.FS
+	file *fs.File
+	pool *mem.Pool
 
-	pagesPerSeg int
-	//cclint:ignore snapcover -- config: derived from cfg at construction, identical in the restore target
+	pagesPerSeg  int
 	headerBytes  int           // media bytes reserved for the segment header (durable format)
 	bufferFrames []mem.FrameID // pinned segment buffer
 
-	segs []*lfsSegment
-	free []int32 // free segment numbers
-	//cclint:ignore snapcover -- derived: the snapshot encodes page locations via the segment tables
+	segs    []*lfsSegment
+	free    []int32 // free segment numbers
 	loc     map[PageKey]lfsLoc
 	cur     int32 // segment being filled (in the buffer)
 	curUsed int   // pages staged in the buffer
-	inClean bool  //cclint:ignore snapcover -- transient: only true inside a cleaning pass, never at a snapshot boundary
+	inClean bool
 
 	// Durable-format state: the open segment's full media image (header
 	// block plus staged pages) accumulates here and reaches the device as
@@ -149,9 +147,9 @@ type LFS struct {
 	// Cleaner scratch, reused across passes so steady-state cleaning
 	// allocates nothing: recycled segment bookkeeping objects and the
 	// page-copy/segment-sweep buffers.
-	segPool  []*lfsSegment //cclint:ignore snapcover -- scratch: recycling freelist, refilled on demand
-	copyBuf  []byte        //cclint:ignore snapcover -- scratch: cleaner copy buffer, dead between passes
-	sweepBuf []byte        //cclint:ignore snapcover -- scratch: cleaner sweep buffer, dead between passes
+	segPool  []*lfsSegment
+	copyBuf  []byte
+	sweepBuf []byte
 
 	st stats.Swap
 }

@@ -50,8 +50,8 @@ type Item struct {
 // Direct is the unmodified-Sprite backing store: one file per segment,
 // page p at byte offset p*pageSize. Writes and reads are whole pages.
 type Direct struct {
-	fsys     *fs.FS //cclint:ignore snapcover -- wiring: injected at construction, not replay state
-	pageSize int    //cclint:ignore snapcover -- config: derived from the pool at construction
+	fsys     *fs.FS
+	pageSize int
 	files    map[int32]*fs.File
 	present  map[PageKey]bool
 	st       stats.Swap
