@@ -3,17 +3,15 @@
 //
 // Usage:
 //
-//	cclint [-json] [-list] [-werror] [-only a,b] [-baseline file]
-//	       [-write-baseline] [-effects file] [-write-effects]
-//	       [-taint-report file] [packages...]
+//	cclint [-json] [-list] [-only a,b] [-taint-report file] [packages...]
 //
 // Packages default to ./... . Patterns follow the go tool's shape
 // ("./...", "./internal/...", or plain directories); whatever the
 // patterns, the whole module is loaded and type-checked so cross-package
-// analyses (crosscredit, obscoverage) see every call path — patterns only
+// analyses (clockcredit, obscoverage) see every call path — patterns only
 // select which packages' findings are reported. Exit status is 0 when the
-// tree is clean (warn-severity findings do not fail unless -werror), 1
-// when there are error findings, and 2 on usage or load errors.
+// tree is clean, 1 when any finding survives (there are no warn-only
+// levels), and 2 on usage or load errors.
 //
 // -only runs a comma-separated subset of the suite — the iteration loop
 // for a single analyzer on a subtree, e.g.
@@ -25,21 +23,11 @@
 //
 // -taint-report writes the dataflow engine's full source→sink flow table
 // as JSON — every nondeterministic value reaching a replayable output,
-// with its call chain — for CI to archive alongside the effects manifest.
+// with its call chain — for CI to archive alongside the findings.
 //
 // Findings are suppressed one line at a time, with a mandatory reason:
 //
 //	start := time.Now() //cclint:ignore walltime -- host-time progress line
-//
-// or, for incremental adoption of a new analyzer, recorded wholesale with
-// -write-baseline into .cclint-baseline.json and burned down over time —
-// CI fails while the checked-in baseline is non-empty.
-//
-// -write-effects regenerates .cclint-effects.json, the manifest of every
-// exported function's inferred effect set; the effectdrift analyzer warns
-// when a function's effects grow beyond the recorded entry. The file is
-// byte-deterministic, so CI can regenerate it and fail on any diff
-// (a stale manifest means an unreviewed effect change).
 //
 // See internal/lint for the analyzers and DESIGN.md ("Static analysis
 // engine") for the call-graph machinery and why each rule exists.
@@ -59,11 +47,6 @@ import (
 func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array")
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	werror := flag.Bool("werror", false, "treat warn-severity findings as errors for the exit status")
-	baselinePath := flag.String("baseline", ".cclint-baseline.json", "baseline file (module-root-relative unless absolute); missing file = empty baseline")
-	writeBaseline := flag.Bool("write-baseline", false, "record current findings into the baseline file and exit 0")
-	effectsPath := flag.String("effects", lint.EffectsFile, "effects manifest (module-root-relative unless absolute); missing file = no drift checks")
-	writeEffects := flag.Bool("write-effects", false, "record the inferred effects of every exported function into the manifest and exit 0")
 	only := flag.String("only", "", "comma-separated analyzer names to run instead of the full suite")
 	taintReport := flag.String("taint-report", "", "write the taint source→sink flow report to this JSON file and exit 0")
 	flag.Parse()
@@ -71,7 +54,7 @@ func main() {
 	analyzers := lint.All()
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("%-12s %-5s %s\n", a.Name(), a.Severity(), a.Doc())
+			fmt.Printf("%-12s %s\n", a.Name(), a.Doc())
 		}
 		return
 	}
@@ -98,20 +81,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cclint: no Go packages matched")
 		os.Exit(2)
 	}
-
-	ep := *effectsPath
-	if !filepath.IsAbs(ep) {
-		ep = filepath.Join(mod.Root, ep)
-	}
-	if *writeEffects {
-		if err := lint.WriteEffects(ep, mod); err != nil {
-			fmt.Fprintln(os.Stderr, "cclint:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "cclint: wrote effects manifest to %s\n", ep)
-		return
-	}
-	mod.EffectsPath = ep
 
 	if *taintReport != "" {
 		tp := *taintReport
@@ -141,25 +110,6 @@ func main() {
 		diags = lint.Run(pkgs, analyzers)
 	}
 
-	bp := *baselinePath
-	if !filepath.IsAbs(bp) {
-		bp = filepath.Join(mod.Root, bp)
-	}
-	if *writeBaseline {
-		if err := lint.WriteBaseline(bp, mod.Root, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "cclint:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "cclint: wrote %d finding(s) to %s\n", len(diags), bp)
-		return
-	}
-	entries, err := lint.LoadBaseline(bp)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cclint:", err)
-		os.Exit(2)
-	}
-	diags, suppressed := lint.ApplyBaseline(entries, mod.Root, diags)
-
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -176,13 +126,10 @@ func main() {
 		}
 	}
 
-	fail := lint.ErrorCount(diags) > 0 || (*werror && len(diags) > 0)
-	if len(diags) > 0 || suppressed > 0 {
-		if !*jsonOut || suppressed > 0 {
-			fmt.Fprintf(os.Stderr, "cclint: %d finding(s), %d suppressed by baseline\n", len(diags), suppressed)
+	if len(diags) > 0 {
+		if !*jsonOut {
+			fmt.Fprintf(os.Stderr, "cclint: %d finding(s)\n", len(diags))
 		}
-	}
-	if fail {
 		os.Exit(1)
 	}
 }

@@ -20,7 +20,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
+	"compcache/internal/compress"
 	"compcache/internal/fault"
 	"compcache/internal/machine"
 	"compcache/internal/obs"
@@ -31,7 +33,7 @@ import (
 func main() {
 	memMB := flag.Int("mem", 6, "user memory in MB")
 	useCC := flag.Bool("cc", false, "enable the compression cache")
-	codec := flag.String("codec", "lzrw1", "compression codec (lzrw1, lzss, rle, null)")
+	codec := flag.String("codec", "lzrw1", "compression codec ("+strings.Join(compress.Names(), ", ")+")")
 	name := flag.String("workload", "thrasher_rw", "workload to run")
 	sizeMB := flag.Int("size", 12, "working-set size in MB (thrasher, sort, compare scale)")
 	passes := flag.Int("passes", 2, "thrasher passes")
@@ -41,6 +43,10 @@ func main() {
 	crashAt := flag.Uint64("crash-at-write", 0, "cut power at the Nth device write, reboot from the torn media and report recovery (arms the durable store formats)")
 	eventsOut := flag.String("events", "", "export the run's observability events as JSONL to this file ('-' = stdout); with -crash-at-write, exports the reboot's recovery events")
 	flag.Parse()
+	if _, err := compress.Lookup(*codec); err != nil {
+		fmt.Fprintln(os.Stderr, "ccsim:", err)
+		os.Exit(2)
+	}
 
 	cfg := machine.Default(int64(*memMB) << 20)
 	if *useCC {

@@ -17,12 +17,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"compcache/internal/compress"
 )
 
 func main() {
-	codecName := flag.String("codec", "lzrw1", "codec: lzrw1, lzss, bdi, fpc, rle, null")
+	codecName := flag.String("codec", "lzrw1", "codec: "+strings.Join(compress.Names(), ", "))
 	blockSize := flag.Int("block", 4096, "block size (the paper's page size)")
 	decompress := flag.Bool("d", false, "decompress stdin to stdout")
 	statsMode := flag.Bool("stats", false, "report per-page compression of the named files")

@@ -2,22 +2,25 @@ package lint
 
 import (
 	"go/ast"
-	"sort"
-	"strings"
+	"go/types"
 )
 
-// ClockCredit guards the cost accounting of the simulated machine. It
-// runs only on internal/machine, the package that owns the boundary
-// between simulation logic and the charged subsystems: any exported
-// method that performs codec work (Compress/Decompress) or touches the
-// backing store through the machine's device fields must advance the
-// virtual clock somewhere on the way — uncharged simulated work would
-// silently skew Table 1 and Figure 3 while every test stays green.
+// ClockCredit guards the cost accounting of the simulated machine: every
+// exported method of internal/machine, internal/swap or internal/disk
+// that transitively reaches codec work (internal/compress
+// Compress/Decompress, resolved through interfaces by method-set
+// matching) or device I/O (internal/disk
+// Read/Write/ReadCluster/WriteCluster) must also transitively reach a
+// virtual-clock charge — otherwise simulated work is happening that no
+// experiment ever pays for, silently skewing Table 1 and Figure 3 while
+// every test stays green.
 //
-// The analysis is intra-package: a method is credited if it calls
-// Advance/AdvanceTo directly or calls (transitively, by name) another
-// function in the package that does, so charging through a helper like
-// decompressInto counts.
+// The rule walks the module-wide call graph, so credit and work are found
+// however deep the chain and whichever package they live in: a machine
+// method charging through a same-package helper, a swap store compressing
+// through another package, and a disk primitive that forgets to charge
+// its own service time are all the same check. A work primitive that
+// charges itself (the real disk's Read/Write do) credits every caller.
 type ClockCredit struct{}
 
 // Name implements Analyzer.
@@ -25,155 +28,73 @@ func (ClockCredit) Name() string { return "clockcredit" }
 
 // Doc implements Analyzer.
 func (ClockCredit) Doc() string {
-	return "exported internal/machine methods doing codec or disk work must advance the virtual clock"
+	return "exported machine/swap/disk methods reaching codec or device work must advance the virtual clock"
 }
 
-// Severity implements Analyzer.
-func (ClockCredit) Severity() Severity { return SevError }
+// clockCreditScopes are the package-path suffixes whose exported API owns
+// chargeable simulation work.
+var clockCreditScopes = []string{"internal/machine", "internal/swap", "internal/disk"}
 
-// clockCreditScope is the package-path suffix the analyzer applies to.
-const clockCreditScope = "internal/machine"
+// codecFuncs are the chargeable codec entry points in internal/compress.
+var codecFuncs = map[string]bool{"Compress": true, "Decompress": true}
 
-// codecOps are selector names that always denote chargeable codec work.
-var codecOps = map[string]bool{"Compress": true, "Decompress": true}
+// deviceFuncs are the chargeable device entry points in internal/disk.
+var deviceFuncs = map[string]bool{"Read": true, "Write": true, "ReadCluster": true, "WriteCluster": true}
 
-// storeOps are selector names that denote backing-store work when invoked
-// through one of the machine's device fields.
-var storeOps = map[string]bool{"Read": true, "Write": true, "WriteCluster": true, "ReadCluster": true}
-
-// deviceFields are the machine fields that reach the simulated device.
-var deviceFields = map[string]bool{"direct": true, "clustered": true, "Device": true, "Disk": true}
-
-// advanceOps are the virtual-clock charging calls. Advance/AdvanceTo are the
-// clock's own methods; Wait/Schedule are the kernel's — on an attached clock
-// every Advance is a kernel-mediated Wait, so a method reaching the kernel
-// API directly has charged its actor's clock just the same.
+// advanceOps are the virtual-clock charging calls in internal/sim.
+// Advance/AdvanceTo are the clock's own methods; Wait/Schedule are the
+// kernel's — on an attached clock every Advance is a kernel-mediated Wait,
+// so a method reaching the kernel API directly has charged its actor's
+// clock just the same.
 var advanceOps = map[string]bool{"Advance": true, "AdvanceTo": true, "Wait": true, "Schedule": true}
 
-// funcFacts records what one function body does directly.
-type funcFacts struct {
-	decl     *ast.FuncDecl
-	advances bool
-	ops      []ast.Node // chargeable op call sites
-	calls    []string   // names of same-package functions it calls
+// isChargeableWork reports whether fn is a chargeable work primitive.
+func isChargeableWork(fn *types.Func) bool {
+	return fnIn(fn, "internal/compress", codecFuncs) || fnIn(fn, "internal/disk", deviceFuncs)
+}
+
+// isClockAdvance reports whether fn is a virtual-clock charging call.
+func isClockAdvance(fn *types.Func) bool {
+	return fnIn(fn, "internal/sim", advanceOps)
 }
 
 // Check implements Analyzer.
 func (c ClockCredit) Check(pkg *Package) []Diagnostic {
-	if !strings.HasSuffix(pkg.Path, clockCreditScope) {
+	if pkg.Mod == nil || pkg.Mod.Graph == nil || !inScopes(pkg.Path, clockCreditScopes) {
 		return nil
 	}
+	g := pkg.Mod.Graph
+	credited := pkg.Mod.factSet("clockcredit.credited", isClockAdvance)
 
-	// Pass 1: direct facts for every function in the package.
-	facts := map[string]*funcFacts{}
+	var out []Diagnostic
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+			if !ok || fd.Body == nil || !fd.Name.IsExported() {
 				continue
 			}
-			ff := &funcFacts{decl: fd}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				switch fun := call.Fun.(type) {
-				case *ast.SelectorExpr:
-					name := fun.Sel.Name
-					switch {
-					case advanceOps[name]:
-						ff.advances = true
-					case codecOps[name]:
-						ff.ops = append(ff.ops, call)
-					case storeOps[name] && throughDeviceField(fun.X):
-						ff.ops = append(ff.ops, call)
-					default:
-						// m.helper(...) — a candidate same-package call.
-						ff.calls = append(ff.calls, name)
-					}
-				case *ast.Ident:
-					ff.calls = append(ff.calls, fun.Name)
-				}
-				return true
-			})
-			// Methods and functions are keyed by bare name; a collision
-			// between a method and a function only makes the analysis more
-			// conservative (credit propagates more freely).
-			facts[fd.Name.Name] = ff
-		}
-	}
-
-	// Pass 2: propagate clock credit through same-package calls to a
-	// fixed point.
-	for changed := true; changed; {
-		changed = false
-		for _, ff := range facts {
-			if ff.advances {
+			fn, ok := pkg.Mod.Info.Defs[fd.Name].(*types.Func)
+			if !ok || credited[fn] {
 				continue
 			}
-			for _, callee := range ff.calls {
-				if cf, ok := facts[callee]; ok && cf.advances {
-					ff.advances = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-
-	// Pass 3: flag exported functions that do chargeable work without
-	// credit, directly or via an uncredited same-package callee. Names are
-	// visited in sorted order so the analyzer's own output never depends
-	// on map iteration order — cclint practices what it preaches.
-	names := make([]string, 0, len(facts))
-	for name := range facts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var out []Diagnostic
-	for _, name := range names {
-		ff := facts[name]
-		if !ast.IsExported(name) || ff.advances {
-			continue
-		}
-		for _, op := range ff.ops {
-			out = append(out, diag(pkg, c.Name(), op,
-				"%s performs codec/disk work but never advances the virtual clock; the cost of this op is uncharged", name))
-		}
-		flagged := map[string]bool{}
-		for _, callee := range ff.calls {
-			if flagged[callee] {
+			chain := g.Path(fn, isChargeableWork)
+			if chain == nil {
 				continue
 			}
-			if cf, ok := facts[callee]; ok && !cf.advances && len(cf.ops) > 0 {
-				flagged[callee] = true
-				out = append(out, diag(pkg, c.Name(), ff.decl.Name,
-					"%s reaches codec/disk work via %s without ever advancing the virtual clock", name, callee))
-			}
+			out = append(out, diag(pkg, c.Name(), fd.Name,
+				"%s does codec/device work (%s) but no call path ever advances the virtual clock; this cost is uncharged",
+				fd.Name.Name, chainString(chain)))
 		}
 	}
 	return out
 }
 
-// throughDeviceField reports whether a receiver expression reaches one of
-// the machine's device fields (m.direct, m.clustered, s.m.Device, ...).
-func throughDeviceField(e ast.Expr) bool {
-	for {
-		switch v := e.(type) {
-		case *ast.SelectorExpr:
-			if deviceFields[v.Sel.Name] {
-				return true
-			}
-			e = v.X
-		case *ast.Ident:
-			return deviceFields[v.Name]
-		case *ast.ParenExpr:
-			e = v.X
-		case *ast.CallExpr:
-			return false
-		default:
-			return false
+// inScopes reports whether an import path ends in one of the suffixes.
+func inScopes(path string, scopes []string) bool {
+	for _, s := range scopes {
+		if pathHasSuffix(path, s) {
+			return true
 		}
 	}
+	return false
 }

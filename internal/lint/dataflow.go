@@ -34,7 +34,7 @@ package lint
 // function's results may carry) and sinkParams (which parameters flow
 // onward into a sink). Hits are resolved per function, with the
 // deterministic shortest source→sink chain recovered through
-// CallGraph.Path exactly as crosscredit prints its credit chains.
+// CallGraph.Path exactly as clockcredit prints its credit chains.
 //
 // Soundness caveats, mirroring the effects engine's: receiver taint on
 // module-internal method calls is dropped (only argument and result flow
@@ -980,7 +980,7 @@ func dedupHits(mod *Module, hits []TaintHit) []TaintHit {
 
 // ---------------------------------------------------------------------------
 // Taint report (-taint-report): the machine-readable source→sink table CI
-// archives next to the effects manifest.
+// archives next to the lint findings.
 
 // TaintReportEntry is one source→sink flow in the module-wide report.
 type TaintReportEntry struct {

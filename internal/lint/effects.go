@@ -5,7 +5,7 @@ package lint
 // zero-allocation hot-path contract that internal/machine's AllocsPerRun
 // tests enforce dynamically.
 //
-// The lattice is four independent boolean facts (so joins are bitwise OR
+// The lattice is two independent boolean facts (so joins are bitwise OR
 // and the transitive fixed point converges even through recursion):
 //
 //   - AllocSteady: the function may allocate on every execution in steady
@@ -21,10 +21,10 @@ package lint
 //     refills, and the cache's slab/entry/frame recyclers. These settle
 //     to zero allocations once capacities are reached, which is exactly
 //     what AllocsPerRun measures after warm-up.
-//   - Retains: the function stores parameter-derived slice/pointer memory
-//     into a receiver field, package state, or a map.
-//   - Escapes: the function returns parameter-derived memory to the
-//     caller.
+//
+// Alongside the lattice the scan records parameter-derived memory that is
+// stored into longer-lived state or returned (Flows) and reads past a
+// parameter's length (CapReslices) — bufown's input.
 //
 // Sites on error and panic paths are classified cold and excluded from
 // steady-state summaries and from hot-path reachability: the dynamic
@@ -39,12 +39,10 @@ package lint
 // local and called in place is assumed non-escaping).
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
 	"sort"
 	"strings"
 )
@@ -58,60 +56,24 @@ const (
 	// AllocWarm marks warm-up/amortized allocation through a recognized
 	// pooled idiom.
 	AllocWarm
-	// Retains marks storing parameter-derived memory into longer-lived
-	// state.
-	Retains
-	// Escapes marks returning parameter-derived memory to the caller.
-	Escapes
 )
 
 // Has reports whether e includes every flag of f.
 func (e Effects) Has(f Effects) bool { return e&f == f }
 
-// Names returns the canonical sorted spelling of the set, the form the
-// manifest records.
-func (e Effects) Names() []string {
-	out := []string{}
-	if e.Has(AllocSteady) {
-		out = append(out, "allocates")
-	}
-	if e.Has(AllocWarm) {
-		out = append(out, "allocates-amortized")
-	}
-	if e.Has(Escapes) {
-		out = append(out, "escapes")
-	}
-	if e.Has(Retains) {
-		out = append(out, "retains")
-	}
-	return out
-}
-
 // String renders the set for diagnostics ("none" for the empty set).
 func (e Effects) String() string {
-	if e == 0 {
+	var names []string
+	if e.Has(AllocSteady) {
+		names = append(names, "allocates")
+	}
+	if e.Has(AllocWarm) {
+		names = append(names, "allocates-amortized")
+	}
+	if len(names) == 0 {
 		return "none"
 	}
-	return strings.Join(e.Names(), ",")
-}
-
-// effectsFromNames parses a manifest entry; unknown names are ignored so
-// an old cclint reading a newer manifest degrades gracefully.
-func effectsFromNames(names []string) Effects {
-	var e Effects
-	for _, n := range names {
-		switch n {
-		case "allocates":
-			e |= AllocSteady
-		case "allocates-amortized":
-			e |= AllocWarm
-		case "retains":
-			e |= Retains
-		case "escapes":
-			e |= Escapes
-		}
-	}
-	return e
+	return strings.Join(names, ",")
 }
 
 // SiteClass classifies one allocation site.
@@ -245,7 +207,7 @@ func computeEffects(mod *Module) *EffectFacts {
 				if callee == nil {
 					continue // external; handled as a local site
 				}
-				sum |= callee.Summary & (AllocSteady | AllocWarm)
+				sum |= callee.Summary
 			}
 			if sum != fe.Summary {
 				fe.Summary = sum
@@ -616,7 +578,6 @@ func (s *fnScanner) sitePass(body *ast.BlockStmt) {
 			for _, res := range n.Results {
 				if o := s.originOf(res); o.kind == oParam && pointerish(o.param.Type()) {
 					s.fe.Flows = append(s.fe.Flows, ParamFlow{Node: n, Param: o.param})
-					s.fe.Local |= Escapes
 				}
 			}
 		case *ast.SliceExpr:
@@ -831,7 +792,6 @@ func (s *fnScanner) scanAssign(n *ast.AssignStmt) {
 		}
 		if o := s.originOf(n.Rhs[i]); o.kind == oParam && pointerish(o.param.Type()) {
 			s.fe.Flows = append(s.fe.Flows, ParamFlow{Node: n, Param: o.param, Store: true})
-			s.fe.Local |= Retains
 		}
 	}
 }
@@ -1011,60 +971,4 @@ func (f *EffectFacts) HotChains() map[*types.Func][]*types.Func {
 	}
 	f.hot = chains
 	return chains
-}
-
-// ---------------------------------------------------------------------------
-// Effects manifest (.cclint-effects.json)
-
-// EffectsFile is the manifest's fixed name, resolved against the module
-// root (so the fixture tree carries its own).
-const EffectsFile = ".cclint-effects.json"
-
-// EffectsManifest builds the recordable manifest: every exported-name
-// function declared in the module, keyed by FullName, mapped to the
-// canonical sorted effect names. Functions proven effect-free appear
-// with an empty list — that records the proof, and effectdrift warns
-// when they lose it.
-func EffectsManifest(mod *Module) map[string][]string {
-	facts := mod.Effects()
-	out := make(map[string][]string)
-	for _, n := range mod.Graph.order {
-		if !n.Fn.Exported() {
-			continue
-		}
-		out[n.Fn.FullName()] = facts.Of(n.Fn).Summary.Names()
-	}
-	return out
-}
-
-// WriteEffects writes the manifest deterministically: MarshalIndent
-// sorts map keys and Names() is canonical, so regeneration is
-// byte-identical for an unchanged tree.
-func WriteEffects(path string, mod *Module) error {
-	data, err := json.MarshalIndent(EffectsManifest(mod), "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadEffects reads a manifest; a missing file is an empty manifest, so
-// trees without one get no drift warnings.
-func LoadEffects(path string) (map[string]Effects, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return map[string]Effects{}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var raw map[string][]string
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return nil, fmt.Errorf("lint: parsing %s: %v", path, err)
-	}
-	out := make(map[string]Effects, len(raw))
-	for k, v := range raw {
-		out[k] = effectsFromNames(v)
-	}
-	return out, nil
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"go/types"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -36,7 +34,7 @@ func TestEffectsPerAllocationKind(t *testing.T) {
 	}{
 		{"CompositeLit", AllocSteady, "literal", 1},
 		{"AppendFresh", AllocSteady, "append to out", 1},
-		{"AppendParam", AllocWarm | Escapes, "append to dst", 1},
+		{"AppendParam", AllocWarm, "append to dst", 1},
 		{"StringConv", AllocSteady, "conversion", 1},
 		{"Boxing", AllocSteady, "boxed into interface argument", 1},
 		{"Closure", AllocSteady, "escaping closure", 1},
@@ -99,7 +97,7 @@ func TestCallGraphCycleTerminates(t *testing.T) {
 }
 
 // realModule loads the actual compcache module once for the whole test
-// binary (shared by the codec cross-check and manifest tests).
+// binary (shared by the codec cross-check and the tree-clean test).
 var (
 	realOnce sync.Once
 	realMod  *Module
@@ -191,42 +189,8 @@ func TestCodecStaticDynamicAllocAgreement(t *testing.T) {
 	}
 }
 
-// TestEffectsManifestDeterministic: regenerating the manifest twice
-// must be byte-identical, and the checked-in file must be fresh (CI
-// enforces the same property by regenerate-and-diff).
-func TestEffectsManifestDeterministic(t *testing.T) {
-	mod := realModule(t)
-	dir := t.TempDir()
-	p1 := filepath.Join(dir, "a.json")
-	p2 := filepath.Join(dir, "b.json")
-	if err := WriteEffects(p1, mod); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteEffects(p2, mod); err != nil {
-		t.Fatal(err)
-	}
-	d1, err := os.ReadFile(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := os.ReadFile(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(d1, d2) {
-		t.Fatal("two regenerations of the effects manifest differ")
-	}
-	checked, err := os.ReadFile(filepath.Join(mod.Root, EffectsFile))
-	if err != nil {
-		t.Fatalf("checked-in %s unreadable: %v", EffectsFile, err)
-	}
-	if !bytes.Equal(checked, d1) {
-		t.Fatalf("checked-in %s is stale; regenerate with `go run ./cmd/cclint -write-effects`", EffectsFile)
-	}
-}
-
-// TestHotAllocTreeClean locks the tentpole invariant: the real tree has
-// zero unignored findings under the full fifteen-analyzer suite —
+// TestHotAllocTreeClean locks the tree-wide invariant: the real tree has
+// zero unignored findings under the full twelve-analyzer suite —
 // in particular no steady-state allocation on the paging hot path.
 // (The full suite must run so ignore directives for the other
 // analyzers resolve; a partial suite would misread them as unknown.)
@@ -238,7 +202,7 @@ func TestHotAllocTreeClean(t *testing.T) {
 }
 
 // BenchmarkLintModule measures full-module cclint wall time: load,
-// type-check, call graph, effect inference, and all fifteen analyzers — the
+// type-check, call graph, effect inference, and all twelve analyzers — the
 // pass the CI wall-time budget gate times against .cclint-lint-budget.
 func BenchmarkLintModule(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -37,9 +37,6 @@ func (ErrDrop) Doc() string {
 	return "forbid discarded or shadowed error returns on the paged-data paths (vm/core/swap/disk/netdev/machine)"
 }
 
-// Severity implements Analyzer.
-func (ErrDrop) Severity() Severity { return SevError }
-
 // errDropScopes are the paged-data packages whose error returns carry the
 // degradation ladder.
 var errDropScopes = []string{
@@ -129,41 +126,42 @@ func (e ErrDrop) checkOverwrites(pkg *Package, info *types.Info, block *ast.Bloc
 	var out []Diagnostic
 	// last[obj] remembers the most recent unread error-write in this
 	// statement list.
-	type write struct {
-		at   ast.Node
-		name string
-	}
-	last := make(map[types.Object]*write)
+	last := make(map[types.Object]ast.Node)
 	for _, stmt := range block.List {
 		// Which error objects does this statement write at its own level,
 		// and which does it mention anywhere in its subtree?
 		writes := topLevelErrWrites(info, stmt)
-		mentioned := mentionedObjects(info, stmt)
-		for obj := range mentioned {
-			if _, isWrite := writes[obj]; !isWrite {
+		for obj := range mentionedObjects(info, stmt) {
+			if !writesObject(writes, obj) {
 				// Read (or nested use) clears the pending write.
 				delete(last, obj)
 			}
 		}
-		for obj, n := range writes {
-			if w, ok := last[obj]; ok {
+		for _, wr := range writes {
+			if at, ok := last[wr.obj]; ok {
 				// Does the overwriting statement also read the variable
 				// (err = fmt.Errorf("...: %w", err) wraps, not drops)?
-				if !readsObject(info, stmt, obj, n) {
-					out = append(out, diag(pkg, e.Name(), w.at,
-						"error assigned to %s is overwritten before anything reads it; the first failure is lost", w.name))
+				if !readsObject(info, stmt, wr.obj, wr.at) {
+					out = append(out, diag(pkg, e.Name(), at,
+						"error assigned to %s is overwritten before anything reads it; the first failure is lost", wr.obj.Name()))
 				}
 			}
-			last[obj] = &write{at: n, name: obj.Name()}
+			last[wr.obj] = wr.at
 		}
 	}
 	return out
 }
 
+// errWrite is one error-typed object assigned from a call, with the LHS
+// identifier that assigns it.
+type errWrite struct {
+	obj types.Object
+	at  ast.Node
+}
+
 // topLevelErrWrites returns the error-typed objects a statement assigns
-// from a call at its own level (not inside nested blocks), keyed to the
-// assignment node.
-func topLevelErrWrites(info *types.Info, stmt ast.Stmt) map[types.Object]ast.Node {
+// from a call at its own level (not inside nested blocks), in LHS order.
+func topLevelErrWrites(info *types.Info, stmt ast.Stmt) []errWrite {
 	as, ok := stmt.(*ast.AssignStmt)
 	if !ok || (as.Tok != token.ASSIGN && as.Tok != token.DEFINE) {
 		return nil
@@ -180,7 +178,7 @@ func topLevelErrWrites(info *types.Info, stmt ast.Stmt) map[types.Object]ast.Nod
 	if !hasCall {
 		return nil
 	}
-	writes := make(map[types.Object]ast.Node)
+	var writes []errWrite
 	for _, lhs := range as.Lhs {
 		id, ok := lhs.(*ast.Ident)
 		if !ok || id.Name == "_" {
@@ -191,13 +189,20 @@ func topLevelErrWrites(info *types.Info, stmt ast.Stmt) map[types.Object]ast.Nod
 			obj = info.Uses[id]
 		}
 		if v, ok := obj.(*types.Var); ok && isErrorType(v.Type()) {
-			writes[obj] = id
+			writes = append(writes, errWrite{obj: obj, at: id})
 		}
 	}
-	if len(writes) == 0 {
-		return nil
-	}
 	return writes
+}
+
+// writesObject reports whether obj is among a statement's error writes.
+func writesObject(writes []errWrite, obj types.Object) bool {
+	for _, w := range writes {
+		if w.obj == obj {
+			return true
+		}
+	}
+	return false
 }
 
 // mentionedObjects collects every object referenced anywhere in a

@@ -29,7 +29,7 @@ func FuzzIgnoreDirective(f *testing.F) {
 		" walltime,maprange,errdrop -- several analyzers at once",
 		" walltime --",
 		" -- reason with no analyzer",
-		" crosscredit - - broken separator",
+		" clockcredit - - broken separator",
 		" obscoverage — em dash is not a separator",
 		" cclint -- the hygiene pseudo-analyzer cannot be named",
 		" , ,sharedwrite , -- ragged list",

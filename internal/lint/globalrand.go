@@ -28,9 +28,6 @@ func (GlobalRand) Doc() string {
 	return "forbid the global math/rand source; randomness must come from rand.New(rand.NewSource(seed)) with an explicit seed"
 }
 
-// Severity implements Analyzer.
-func (GlobalRand) Severity() Severity { return SevError }
-
 // randConstructors are the math/rand package-level names that do not touch
 // the global source.
 var randConstructors = map[string]bool{

@@ -9,7 +9,7 @@ package lint
 // along non-cold edges (error and panic paths are excluded, matching
 // what AllocsPerRun exercises) and reports every steady-state allocation
 // site in every function it reaches, with the call chain from the root,
-// the way crosscredit prints its credit chains.
+// the way clockcredit prints its credit chains.
 //
 // Warm sites (pooled buffers growing to working capacity, map writes,
 // sync.Pool refills) are allowed: they amortize to zero, which is what
@@ -28,9 +28,6 @@ func (HotAlloc) Name() string { return "hotalloc" }
 func (HotAlloc) Doc() string {
 	return "no steady-state allocation reachable from PageIn/PageOut/Cache.Insert or a codec"
 }
-
-// Severity implements Analyzer.
-func (HotAlloc) Severity() Severity { return SevError }
 
 // Check implements Analyzer.
 func (HotAlloc) Check(pkg *Package) []Diagnostic {

@@ -26,7 +26,7 @@ type directive struct {
 	analyzers []string // nil when malformed
 	badNames  []string // named analyzers that do not exist
 	noReason  bool
-	used      bool
+	used      []bool // per analyzers entry: did that name suppress anything?
 }
 
 // directives indexes a package's ignore directives by file and target line.
@@ -84,6 +84,7 @@ func parseDirective(rest string, pos token.Position, known map[string]bool) *dir
 		}
 		d.analyzers = append(d.analyzers, n)
 	}
+	d.used = make([]bool, len(d.analyzers))
 	return d
 }
 
@@ -103,16 +104,16 @@ func (pkg *Package) standaloneComment(pos token.Position) bool {
 }
 
 // suppress reports whether a well-formed directive covers the diagnostic,
-// marking the directive used.
+// marking the matching name of each covering directive used.
 func (ds *directives) suppress(d Diagnostic) bool {
 	hit := false
 	for _, dir := range ds.byFL[d.File][d.Line] {
 		if dir.noReason || len(dir.badNames) > 0 {
 			continue // malformed directives never suppress
 		}
-		for _, name := range dir.analyzers {
+		for i, name := range dir.analyzers {
 			if name == d.Analyzer {
-				dir.used = true
+				dir.used[i] = true
 				hit = true
 			}
 		}
@@ -121,10 +122,12 @@ func (ds *directives) suppress(d Diagnostic) bool {
 }
 
 // hygiene reports directive problems: missing reason, unknown analyzer,
-// and — when the full suite ran — directives that no longer suppress
-// anything (stale ignores must be deleted, exactly as staticcheck treats
-// them). The unused check is skipped for filtered -only runs, where a
-// directive for an unselected analyzer is legitimately idle.
+// and — when the full suite ran — every analyzer name that no longer
+// suppresses anything (stale ignores must be deleted, exactly as
+// staticcheck treats them; in a multi-name directive each idle name is
+// reported on its own). The unused check is skipped for filtered -only
+// runs, where a directive for an unselected analyzer is legitimately
+// idle.
 func (ds *directives) hygiene(reportUnused bool) []Diagnostic {
 	var out []Diagnostic
 	emit := func(dir *directive, format string, args ...any) {
@@ -143,8 +146,14 @@ func (ds *directives) hygiene(reportUnused bool) []Diagnostic {
 			emit(dir, "ignore directive missing '-- reason': every suppression must say why")
 		case len(dir.badNames) > 0:
 			emit(dir, "ignore directive names unknown analyzer %q", strings.Join(dir.badNames, ","))
-		case !dir.used && reportUnused:
-			emit(dir, "ignore directive for %q suppresses nothing; delete it", strings.Join(dir.analyzers, ","))
+		case len(dir.analyzers) == 0:
+			emit(dir, "ignore directive names no analyzer")
+		case reportUnused:
+			for i, name := range dir.analyzers {
+				if !dir.used[i] {
+					emit(dir, "ignore directive for %q suppresses nothing; delete it", name)
+				}
+			}
 		}
 	}
 	return out

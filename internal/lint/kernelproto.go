@@ -49,9 +49,6 @@ func (KernelProto) Doc() string {
 	return "kernel actor bodies must not spawn goroutines, touch channels, or take locks outside the sim.Kernel baton"
 }
 
-// Severity implements Analyzer.
-func (KernelProto) Severity() Severity { return SevError }
-
 // kernelArmerSeeds maps the sim.Kernel spawn primitives to the argument
 // index of the func that becomes an actor body.
 var kernelArmerSeeds = map[string]int{"Go": 1, "Bind": 1, "Schedule": 2}

@@ -26,10 +26,8 @@
 //
 // or, as a standalone comment, on the line directly below it. The reason
 // after "--" is mandatory; a directive without one is itself a finding, as
-// is a directive that no longer suppresses anything. For incremental
-// adoption of new analyzers there is also a baseline mechanism
-// (.cclint-baseline.json, see baseline.go) — the checked-in baseline is
-// kept empty, and CI fails if it ever stops being empty.
+// is a directive naming an analyzer that no longer suppresses anything.
+// There are no severity levels: every surviving finding fails cclint.
 package lint
 
 import (
@@ -39,23 +37,9 @@ import (
 	"sort"
 )
 
-// Severity ranks a finding. Error-severity findings fail cclint (exit 1);
-// warn-severity findings are reported but only fail under -werror.
-type Severity string
-
-const (
-	// SevError marks invariant violations: the tree must not merge with
-	// one of these outstanding.
-	SevError Severity = "error"
-	// SevWarn marks strong-heuristic findings that occasionally need
-	// human judgment (floatorder, obscoverage).
-	SevWarn Severity = "warn"
-)
-
 // Diagnostic is one finding, positioned at file:line:col.
 type Diagnostic struct {
 	Analyzer string         `json:"analyzer"`
-	Severity Severity       `json:"severity"`
 	Pos      token.Position `json:"-"`
 	File     string         `json:"file"`
 	Line     int            `json:"line"`
@@ -65,7 +49,7 @@ type Diagnostic struct {
 
 // String renders the conventional compiler-style form.
 func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s:%d:%d: %s: %s [%s]", d.File, d.Line, d.Col, d.Severity, d.Message, d.Analyzer)
+	return fmt.Sprintf("%s:%d:%d: %s [%s]", d.File, d.Line, d.Col, d.Message, d.Analyzer)
 }
 
 // Analyzer is one named check. Check is called once per selected package;
@@ -76,39 +60,34 @@ type Analyzer interface {
 	Name() string
 	// Doc is a one-line description of what the analyzer enforces.
 	Doc() string
-	// Severity is the default severity of this analyzer's findings.
-	Severity() Severity
 	// Check reports all findings in pkg.
 	Check(pkg *Package) []Diagnostic
 }
 
-// All returns the full cclint analyzer suite, in stable order: the four
-// original syntactic analyzers, the five call-graph analyzers added
-// with the cross-package engine, the three effect-inference analyzers
-// (hotalloc, bufown, effectdrift), then the three dataflow/contract
-// analyzers (nondet, kernelproto, snapcover).
+// All returns the full cclint analyzer suite, in stable order: the two
+// syntactic analyzers (walltime, globalrand), the five typed and
+// call-graph analyzers (maprange, clockcredit, errdrop, sharedwrite,
+// obscoverage), the two effect-inference analyzers (hotalloc, bufown),
+// then the three dataflow/contract analyzers (nondet, kernelproto,
+// snapcover).
 func All() []Analyzer {
 	return []Analyzer{
 		Walltime{},
 		GlobalRand{},
 		MapRange{},
 		ClockCredit{},
-		CrossCredit{},
 		ErrDrop{},
 		SharedWrite{},
-		FloatOrder{},
 		ObsCoverage{},
 		HotAlloc{},
 		BufOwn{},
-		EffectDrift{},
 		Nondet{},
 		KernelProto{},
 		SnapCover{},
 	}
 }
 
-// diag builds a Diagnostic at a node's position. Severity is stamped by
-// Run from the analyzer's declared level.
+// diag builds a Diagnostic at a node's position.
 func diag(pkg *Package, name string, n ast.Node, format string, args ...any) Diagnostic {
 	pos := pkg.Fset.Position(n.Pos())
 	return Diagnostic{
@@ -163,25 +142,14 @@ func run(pkgs []*Package, suite, selected []Analyzer, fullSuite bool) []Diagnost
 	var out []Diagnostic
 	for _, pkg := range pkgs {
 		dirs := collectIgnores(pkg, known)
-		var raw []Diagnostic
 		for _, a := range selected {
 			for _, d := range a.Check(pkg) {
-				if d.Severity == "" {
-					d.Severity = a.Severity()
+				if !dirs.suppress(d) {
+					out = append(out, d)
 				}
-				raw = append(raw, d)
 			}
 		}
-		for _, d := range raw {
-			if dirs.suppress(d) {
-				continue
-			}
-			out = append(out, d)
-		}
-		for _, d := range dirs.hygiene(fullSuite) {
-			d.Severity = SevError
-			out = append(out, d)
-		}
+		out = append(out, dirs.hygiene(fullSuite)...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -194,20 +162,10 @@ func run(pkgs []*Package, suite, selected []Analyzer, fullSuite bool) []Diagnost
 		if a.Col != b.Col {
 			return a.Col < b.Col
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 	return out
-}
-
-// ErrorCount reports how many diagnostics are error-severity; cclint's
-// exit status is 1 exactly when this is non-zero (or -werror is set and
-// any finding survives).
-func ErrorCount(diags []Diagnostic) int {
-	n := 0
-	for _, d := range diags {
-		if d.Severity == SevError {
-			n++
-		}
-	}
-	return n
 }

@@ -1,8 +1,8 @@
 package lint
 
 import (
+	"go/ast"
 	"go/types"
-	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -13,7 +13,7 @@ import (
 // The golden tests are a hand-rolled, stdlib-only analysistest: the whole
 // of testdata/src is mounted once as a pretend module named "compcache"
 // (so fixture packages get import paths like
-// "compcache/crosscredit/internal/machine" and can import each other),
+// "compcache/clockcredit/internal/machine" and can import each other),
 // each fixture subtree is selected, the full analyzer suite (plus
 // ignore-directive processing) runs over it, and every diagnostic must
 // match a trailing
@@ -95,9 +95,12 @@ func parseWants(t *testing.T, pkg *Package) map[string]map[int][]*want {
 	return wants
 }
 
-func runGolden(t *testing.T, dir string) {
+func runGolden(t *testing.T, dirs ...string) {
 	t.Helper()
-	pkgs := selectFixture(t, dir)
+	var pkgs []*Package
+	for _, dir := range dirs {
+		pkgs = append(pkgs, selectFixture(t, dir)...)
+	}
 	wants := map[string]map[int][]*want{}
 	for _, pkg := range pkgs {
 		for file, byLine := range parseWants(t, pkg) {
@@ -134,18 +137,84 @@ func TestWalltimeGolden(t *testing.T)    { runGolden(t, "testdata/src/walltime")
 func TestGlobalRandGolden(t *testing.T)  { runGolden(t, "testdata/src/globalrand") }
 func TestMapRangeGolden(t *testing.T)    { runGolden(t, "testdata/src/maprange") }
 func TestIgnoreGolden(t *testing.T)      { runGolden(t, "testdata/src/ignore") }
-func TestMachineFixture(t *testing.T)    { runGolden(t, "testdata/src/internal/machine") }
-func TestCrossCreditGolden(t *testing.T) { runGolden(t, "testdata/src/crosscredit") }
 func TestErrDropGolden(t *testing.T)     { runGolden(t, "testdata/src/errdrop") }
 func TestSharedWriteGolden(t *testing.T) { runGolden(t, "testdata/src/sharedwrite") }
-func TestFloatOrderGolden(t *testing.T)  { runGolden(t, "testdata/src/floatorder") }
 func TestObsCoverageGolden(t *testing.T) { runGolden(t, "testdata/src/obscoverage") }
 func TestHotAllocGolden(t *testing.T)    { runGolden(t, "testdata/src/hotalloc") }
 func TestBufOwnGolden(t *testing.T)      { runGolden(t, "testdata/src/bufown") }
-func TestEffectDriftGolden(t *testing.T) { runGolden(t, "testdata/src/effectdrift") }
 func TestNondetGolden(t *testing.T)      { runGolden(t, "testdata/src/nondet") }
 func TestKernelProtoGolden(t *testing.T) { runGolden(t, "testdata/src/kernelproto") }
 func TestSnapCoverGolden(t *testing.T)   { runGolden(t, "testdata/src/snapcover") }
+
+// The clockcredit fixture tree is one pretend module slice whose codec and
+// device calls cross package boundaries; its two goldens split it so that
+// together they cover every package once. TestMachineFixture runs the
+// internal/machine package (same-body, helper and cross-package chains,
+// plus the injected wall-clock call); TestCrossCreditGolden runs the
+// device and pipeline packages it calls into, where a chain that ends in
+// another package's uncharged work is the finding.
+func TestMachineFixture(t *testing.T) { runGolden(t, "testdata/src/clockcredit/internal/machine") }
+
+func TestCrossCreditGolden(t *testing.T) {
+	const tree = "testdata/src/clockcredit/internal/"
+	runGolden(t, tree+"compress", tree+"disk", tree+"pipeline", tree+"sim", tree+"swap")
+}
+
+// TestRetiredAnalyzerParity pins that folding crosscredit, the syntactic
+// clockcredit pass and floatorder into their successors lost no positive
+// case: every function that carried a want for a retired analyzer must
+// still draw a finding from its successor, positioned inside the function.
+func TestRetiredAnalyzerParity(t *testing.T) {
+	cases := []struct {
+		retired   string // analyzer the case was written for
+		fixture   string // fixture subtree now holding the function
+		fn        string
+		successor string
+	}{
+		{"crosscredit", "clockcredit/internal/machine", "BadDeep", "clockcredit"},
+		{"crosscredit", "clockcredit/internal/machine", "BadIface", "clockcredit"},
+		{"crosscredit", "clockcredit/internal/disk", "BadCompact", "clockcredit"},
+		{"crosscredit", "clockcredit/internal/swap", "BadFlush", "clockcredit"},
+		{"clockcredit (syntactic)", "clockcredit/internal/machine", "BadCompress", "clockcredit"},
+		{"clockcredit (syntactic)", "clockcredit/internal/machine", "BadWrite", "clockcredit"},
+		{"clockcredit (syntactic)", "clockcredit/internal/machine", "BadViaHelper", "clockcredit"},
+		{"floatorder", "maprange", "badSumMap", "maprange"},
+		{"floatorder", "maprange", "badSpelled", "maprange"},
+		{"floatorder", "sharedwrite", "badParallel", "sharedwrite"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.fn, func(t *testing.T) {
+			pkgs := selectFixture(t, "testdata/src/"+tc.fixture)
+			decl := findDecl(t, pkgs, tc.fn)
+			fset := pkgs[0].Fset
+			from, to := fset.Position(decl.Pos()), fset.Position(decl.End())
+			for _, d := range Run(pkgs, All()) {
+				if d.Analyzer == tc.successor && d.File == from.Filename &&
+					d.Line >= from.Line && d.Line <= to.Line {
+					return
+				}
+			}
+			t.Errorf("%s no longer reports inside %s (a %s case); the fold lost it", tc.successor, tc.fn, tc.retired)
+		})
+	}
+}
+
+// findDecl returns the declaration of the named function or method among
+// the packages' files.
+func findDecl(t *testing.T, pkgs []*Package, name string) *ast.FuncDecl {
+	t.Helper()
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name == name {
+					return fd
+				}
+			}
+		}
+	}
+	t.Fatalf("function %s not found in the fixture", name)
+	return nil
+}
 
 // TestRunOnlyFilters pins the -only semantics: only selected analyzers
 // fire, ignore directives naming unselected analyzers stay valid (no
@@ -199,12 +268,12 @@ func findFn(t *testing.T, mod *Module, pkgSuffix, name string) *types.Func {
 	return nil
 }
 
-// TestCallGraphInterfaceResolution pins the engine property crosscredit's
+// TestCallGraphInterfaceResolution pins the engine property clockcredit's
 // BadIface case rests on: a call through an interface gets dynamic edges
 // to the concrete methods of every implementing module type.
 func TestCallGraphInterfaceResolution(t *testing.T) {
 	mod := fixtureModule(t)
-	apply := findFn(t, mod, "crosscredit/internal/pipeline", "Apply")
+	apply := findFn(t, mod, "clockcredit/internal/pipeline", "Apply")
 	node := mod.Graph.Node(apply)
 	if node == nil {
 		t.Fatal("no graph node for pipeline.Apply")
@@ -215,9 +284,9 @@ func TestCallGraphInterfaceResolution(t *testing.T) {
 			continue
 		}
 		switch {
-		case pathHasSuffix(pkgPath(e.Callee), "crosscredit/internal/compress"):
+		case pathHasSuffix(pkgPath(e.Callee), "clockcredit/internal/compress"):
 			concrete = true
-		case pathHasSuffix(pkgPath(e.Callee), "crosscredit/internal/pipeline"):
+		case pathHasSuffix(pkgPath(e.Callee), "clockcredit/internal/pipeline"):
 			iface = true
 		}
 	}
@@ -235,11 +304,11 @@ func TestCallGraphReachesAndPath(t *testing.T) {
 	mod := fixtureModule(t)
 	credited := mod.Graph.Reaches(isClockAdvance)
 
-	good := findFn(t, mod, "crosscredit/internal/machine", "GoodDeep")
+	good := findFn(t, mod, "clockcredit/internal/machine", "GoodDeep")
 	if !credited[good] {
 		t.Error("GoodDeep should reach a clock advance through pipeline.ProcessCharged")
 	}
-	bad := findFn(t, mod, "crosscredit/internal/machine", "BadDeep")
+	bad := findFn(t, mod, "clockcredit/internal/machine", "BadDeep")
 	if credited[bad] {
 		t.Error("BadDeep must not reach a clock advance")
 	}
@@ -256,7 +325,7 @@ func TestCallGraphReachesAndPath(t *testing.T) {
 // there, and clockcredit is in scope), and the suite reports findings —
 // which is exactly what makes `cclint <fixture-dir>` exit 1.
 func TestMachineFixtureScope(t *testing.T) {
-	pkgs := selectFixture(t, "testdata/src/internal/machine")
+	pkgs := selectFixture(t, "testdata/src/clockcredit/internal/machine")
 	if len(pkgs) != 1 {
 		t.Fatalf("got %d packages, want 1", len(pkgs))
 	}
@@ -334,86 +403,5 @@ func TestRunOutputSorted(t *testing.T) {
 		if a.File > b.File || (a.File == b.File && a.Line > b.Line) {
 			t.Fatalf("diagnostics out of order: %v before %v", a, b)
 		}
-	}
-}
-
-// TestSeverityStamped: Run stamps each finding with its analyzer's
-// declared severity, and ErrorCount counts only error-severity ones.
-func TestSeverityStamped(t *testing.T) {
-	pkgs := selectFixture(t, "testdata/src/obscoverage")
-	diags := Run(pkgs, All())
-	if len(diags) == 0 {
-		t.Fatal("obscoverage fixture produced no findings")
-	}
-	for _, d := range diags {
-		if d.Severity == "" {
-			t.Errorf("finding without severity: %v", d)
-		}
-		if d.Analyzer == "obscoverage" && d.Severity != SevWarn {
-			t.Errorf("obscoverage finding has severity %q, want warn", d.Severity)
-		}
-	}
-	if n := ErrorCount(diags); n != 0 {
-		t.Errorf("obscoverage fixture has %d error-severity findings, want 0 (all warns)", n)
-	}
-}
-
-func TestBaselineRoundTrip(t *testing.T) {
-	root := t.TempDir()
-	path := filepath.Join(root, ".cclint-baseline.json")
-	diags := []Diagnostic{
-		{Analyzer: "walltime", Severity: SevError, File: filepath.Join(root, "a.go"), Line: 3, Message: "m1"},
-		{Analyzer: "walltime", Severity: SevError, File: filepath.Join(root, "a.go"), Line: 9, Message: "m1"},
-		{Analyzer: "errdrop", Severity: SevError, File: filepath.Join(root, "b.go"), Line: 1, Message: "m2"},
-	}
-	if err := WriteBaseline(path, root, diags); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 {
-		t.Fatalf("got %d baseline entries, want 2 (same-message findings fold into a count)", len(entries))
-	}
-	if entries[0].File != "a.go" || entries[0].Count != 2 {
-		t.Fatalf("entry[0] = %+v, want a.go with count 2", entries[0])
-	}
-
-	kept, suppressed := ApplyBaseline(entries, root, diags)
-	if len(kept) != 0 || suppressed != 3 {
-		t.Fatalf("ApplyBaseline kept %d / suppressed %d, want 0 / 3", len(kept), suppressed)
-	}
-
-	// A new instance beyond the recorded count must still surface: the
-	// baseline is line-number-free but budgeted.
-	extra := append(diags, Diagnostic{Analyzer: "walltime", Severity: SevError, File: filepath.Join(root, "a.go"), Line: 20, Message: "m1"})
-	kept, suppressed = ApplyBaseline(entries, root, extra)
-	if len(kept) != 1 || suppressed != 3 {
-		t.Fatalf("over-budget ApplyBaseline kept %d / suppressed %d, want 1 / 3", len(kept), suppressed)
-	}
-	if kept[0].Line != 20 {
-		t.Fatalf("surviving finding at line %d, want the budget-exceeding one at 20", kept[0].Line)
-	}
-}
-
-func TestBaselineMissingFileIsEmpty(t *testing.T) {
-	entries, err := LoadBaseline(filepath.Join(t.TempDir(), "absent.json"))
-	if err != nil || entries != nil {
-		t.Fatalf("missing baseline: got (%v, %v), want (nil, nil)", entries, err)
-	}
-}
-
-func TestBaselineEmptyWritesCanonicalForm(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "b.json")
-	if err := WriteBaseline(path, "", nil); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(string(data)) != "[]" {
-		t.Fatalf("empty baseline serializes as %q, want []", data)
 	}
 }

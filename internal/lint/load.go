@@ -41,37 +41,13 @@ type Module struct {
 	// cclint has to be able to point at code the compiler also rejects —
 	// but analyses degrade to syntax where type facts are missing.
 	TypeErrors []error
-	// EffectsPath overrides where the effects manifest is read from
-	// (absolute, or relative to Root); empty selects EffectsFile.
-	EffectsPath string
 
 	byPath map[string]*Package
 	facts  map[string]map[*types.Func]bool
 
-	effects             *EffectFacts       // memoized effect-inference table
-	taint               *TaintFacts        // memoized dataflow/taint table
-	kproto              *kprotoFacts       // memoized kernel-protocol facts
-	manifest            map[string]Effects // memoized .cclint-effects.json
-	manifestLoaded      bool
-	manifestErr         error
-	manifestErrReported bool
-}
-
-// effectsManifest loads the module's effects manifest once; a missing
-// file is an empty manifest.
-func (m *Module) effectsManifest() (map[string]Effects, error) {
-	if !m.manifestLoaded {
-		m.manifestLoaded = true
-		p := m.EffectsPath
-		if p == "" {
-			p = EffectsFile
-		}
-		if !filepath.IsAbs(p) {
-			p = filepath.Join(m.Root, p)
-		}
-		m.manifest, m.manifestErr = LoadEffects(p)
-	}
-	return m.manifest, m.manifestErr
+	effects *EffectFacts // memoized effect-inference table
+	taint   *TaintFacts  // memoized dataflow/taint table
+	kproto  *kprotoFacts // memoized kernel-protocol facts
 }
 
 // factSet memoizes Graph.Reaches computations under a key, so several
@@ -137,7 +113,7 @@ func LoadModule(dir string) (*Module, error) {
 // LoadTree loads the directory tree rooted at root as if it were a module
 // named modulePath. The golden tests use it to mount
 // internal/lint/testdata/src as a pretend module, so fixture packages get
-// import paths like "compcache/crosscredit/internal/machine" and can
+// import paths like "compcache/clockcredit/internal/machine" and can
 // import each other, while real loads (LoadModule) can never reach them.
 func LoadTree(root, modulePath string) (*Module, error) {
 	root, err := filepath.Abs(root)

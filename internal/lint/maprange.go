@@ -3,14 +3,18 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
 // MapRange flags `range` over a map whose body produces ordered output:
-// appending to a slice, writing through fmt, or building a string. Go
-// randomizes map iteration order per iteration, so any ordered artifact
-// built this way differs from run to run — the exact shape that would
-// break the byte-identical-at-any-j guarantee.
+// appending to a slice, writing through fmt, building a string, or
+// accumulating a float. Go randomizes map iteration order per iteration,
+// so any ordered artifact built this way differs from run to run — the
+// exact shape that would break the byte-identical-at-any-j guarantee.
+// Float accumulation belongs here too: float addition is not
+// associative, so `for _, v := range m { sum += v }` can change the last
+// bits of a mean or ratio that is diffed byte for byte between runs.
 //
 // The canonical deterministic patterns stay silent:
 //
@@ -18,14 +22,10 @@ import (
 //	for k := range m { keys = append(keys, k) }   // ok: keys sorted below
 //	sort.Strings(keys)
 //
-// and order-independent work (counting, summing, writing into another
-// map, deleting entries) is never flagged.
-//
-// Without go/types the map-ness of the ranged expression is inferred
-// syntactically: map literals and make(map[...]) directly in the range
-// clause, local variables assigned from either, parameters and variables
-// declared with a map type, and selector expressions whose field is
-// declared as a map anywhere in the package.
+// and order-independent work (integer counting and summing, writing into
+// another map, deleting entries, float accumulators local to the loop
+// body) is never flagged. Whether the ranged value is a map comes from
+// go/types.
 type MapRange struct{}
 
 // Name implements Analyzer.
@@ -33,15 +33,12 @@ func (MapRange) Name() string { return "maprange" }
 
 // Doc implements Analyzer.
 func (MapRange) Doc() string {
-	return "flag map iteration that feeds ordered output (append/print/string build) without sorting"
+	return "flag map iteration that feeds ordered output (append/print/string build/float sum) without sorting"
 }
-
-// Severity implements Analyzer.
-func (MapRange) Severity() Severity { return SevError }
 
 // Check implements Analyzer.
 func (m MapRange) Check(pkg *Package) []Diagnostic {
-	mapFields := collectMapFields(pkg)
+	info := pkg.Mod.Info
 	var out []Diagnostic
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
@@ -49,13 +46,14 @@ func (m MapRange) Check(pkg *Package) []Diagnostic {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			mapVars := collectMapVars(fd)
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				rs, ok := n.(*ast.RangeStmt)
-				if !ok || !isMapExpr(rs.X, mapVars, mapFields) {
-					return true
+				if rs, ok := n.(*ast.RangeStmt); ok {
+					if t := info.TypeOf(rs.X); t != nil {
+						if _, isMap := t.Underlying().(*types.Map); isMap {
+							out = append(out, m.checkLoop(pkg, info, fd, rs)...)
+						}
+					}
 				}
-				out = append(out, m.checkLoop(pkg, fd, rs)...)
 				return true
 			})
 		}
@@ -64,7 +62,7 @@ func (m MapRange) Check(pkg *Package) []Diagnostic {
 }
 
 // checkLoop inspects one map-range body for order-dependent output.
-func (m MapRange) checkLoop(pkg *Package, fd *ast.FuncDecl, rs *ast.RangeStmt) []Diagnostic {
+func (m MapRange) checkLoop(pkg *Package, info *types.Info, fd *ast.FuncDecl, rs *ast.RangeStmt) []Diagnostic {
 	var out []Diagnostic
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -92,6 +90,10 @@ func (m MapRange) checkLoop(pkg *Package, fd *ast.FuncDecl, rs *ast.RangeStmt) [
 				out = append(out, diag(pkg, m.Name(), n,
 					"string built inside map iteration varies run to run; sort the keys first"))
 			}
+			if floatAccumulation(info, n, rs.Body) {
+				out = append(out, diag(pkg, m.Name(), n,
+					"float accumulation inside map iteration; map order is random per run — sort the keys first"))
+			}
 		case *ast.CallExpr:
 			if name, ok := orderedOutputCall(n); ok {
 				out = append(out, diag(pkg, m.Name(), n,
@@ -101,6 +103,64 @@ func (m MapRange) checkLoop(pkg *Package, fd *ast.FuncDecl, rs *ast.RangeStmt) [
 		return true
 	})
 	return out
+}
+
+// floatAccumulation reports whether an assignment accumulates into a
+// float declared outside body — `x += v`, `x -= v`, `x *= v`, `x /= v`
+// or the spelled-out `x = x + v`, through a plain variable or a field
+// (st.sum += v). Accumulators declared inside body reset every iteration
+// and cannot carry order dependence out of the loop.
+func floatAccumulation(info *types.Info, as *ast.AssignStmt, body *ast.BlockStmt) bool {
+	if len(as.Lhs) != 1 || !isFloat(info.TypeOf(as.Lhs[0])) {
+		return false
+	}
+	var root *ast.Ident
+	switch lhs := ast.Unparen(as.Lhs[0]).(type) {
+	case *ast.Ident:
+		root = lhs
+	case *ast.SelectorExpr:
+		root = rootIdent(lhs.X)
+	}
+	if root == nil {
+		return false
+	}
+	v, ok := info.Uses[root].(*types.Var)
+	if !ok || (v.Pos() >= body.Pos() && v.Pos() < body.End()) {
+		return false
+	}
+	switch as.Tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+		return true
+	case token.ASSIGN:
+		if bin, ok := ast.Unparen(as.Rhs[0]).(*ast.BinaryExpr); ok {
+			switch bin.Op {
+			case token.ADD, token.SUB, token.MUL, token.QUO:
+				return exprMentions(info, bin, v)
+			}
+		}
+	}
+	return false
+}
+
+// isFloat reports whether t's underlying type is float32 or float64.
+func isFloat(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
+}
+
+// exprMentions reports whether expr references obj.
+func exprMentions(info *types.Info, expr ast.Expr, obj types.Object) bool {
+	found := false
+	ast.Inspect(expr, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == obj {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 // orderedOutputCall recognizes calls that emit ordered output: the fmt
@@ -211,143 +271,5 @@ func rootIdent(e ast.Expr) *ast.Ident {
 		default:
 			return nil
 		}
-	}
-}
-
-// isMapType reports whether a type expression is (syntactically) a map.
-func isMapType(t ast.Expr) bool {
-	switch t := t.(type) {
-	case *ast.MapType:
-		return true
-	case *ast.ParenExpr:
-		return isMapType(t.X)
-	default:
-		return false
-	}
-}
-
-// collectMapFields gathers the names of struct fields (and package-level
-// vars) declared with map types anywhere in the package. Matching later
-// is by field name only — without type information that is the sound
-// over-approximation for a determinism lint.
-func collectMapFields(pkg *Package) map[string]bool {
-	fields := map[string]bool{}
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.StructType:
-				for _, fld := range n.Fields.List {
-					if !isMapType(fld.Type) {
-						continue
-					}
-					for _, name := range fld.Names {
-						fields[name.Name] = true
-					}
-				}
-			case *ast.GenDecl:
-				if n.Tok != token.VAR {
-					return true
-				}
-				for _, spec := range n.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok {
-						continue
-					}
-					if vs.Type != nil && isMapType(vs.Type) {
-						for _, name := range vs.Names {
-							fields[name.Name] = true
-						}
-					}
-					for i, v := range vs.Values {
-						if i < len(vs.Names) && mapValueExpr(v) {
-							fields[vs.Names[i].Name] = true
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-	return fields
-}
-
-// collectMapVars gathers identifiers with map-typed declarations or
-// assignments inside one function: parameters, var decls, := from
-// make(map[...]) or a map literal.
-func collectMapVars(fd *ast.FuncDecl) map[string]bool {
-	vars := map[string]bool{}
-	if fd.Type.Params != nil {
-		for _, p := range fd.Type.Params.List {
-			if isMapType(p.Type) {
-				for _, name := range p.Names {
-					vars[name.Name] = true
-				}
-			}
-		}
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i, rhs := range n.Rhs {
-				if i >= len(n.Lhs) {
-					break
-				}
-				if id, ok := n.Lhs[i].(*ast.Ident); ok && mapValueExpr(rhs) {
-					vars[id.Name] = true
-				}
-			}
-		case *ast.DeclStmt:
-			gd, ok := n.Decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR {
-				return true
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				if vs.Type != nil && isMapType(vs.Type) {
-					for _, name := range vs.Names {
-						vars[name.Name] = true
-					}
-				}
-				for i, v := range vs.Values {
-					if i < len(vs.Names) && mapValueExpr(v) {
-						vars[vs.Names[i].Name] = true
-					}
-				}
-			}
-		}
-		return true
-	})
-	return vars
-}
-
-// mapValueExpr reports whether an expression certainly evaluates to a
-// map: a map composite literal or make(map[...], ...).
-func mapValueExpr(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.CompositeLit:
-		return isMapType(e.Type)
-	case *ast.CallExpr:
-		if id, ok := e.Fun.(*ast.Ident); ok && id.Name == "make" && len(e.Args) >= 1 {
-			return isMapType(e.Args[0])
-		}
-	}
-	return false
-}
-
-// isMapExpr decides whether a ranged expression is a map, using the
-// gathered hints.
-func isMapExpr(e ast.Expr, mapVars, mapFields map[string]bool) bool {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return mapVars[e.Name] || mapFields[e.Name]
-	case *ast.SelectorExpr:
-		return mapFields[e.Sel.Name]
-	case *ast.ParenExpr:
-		return isMapExpr(e.X, mapVars, mapFields)
-	default:
-		return mapValueExpr(e)
 	}
 }

@@ -8,7 +8,7 @@ package lint
 // rows, a %p-formatted address in an event label, an env var in a CSV.
 // nondet runs the dataflow/taint engine (dataflow.go) over the whole
 // module and reports every source→sink flow with the deterministic
-// shortest call chain, the way crosscredit prints its credit chains.
+// shortest call chain, the way clockcredit prints its credit chains.
 //
 // Findings are positioned at the source side (the call or range that
 // minted the nondeterminism, or the call whose result carries it), inside
@@ -24,9 +24,6 @@ func (Nondet) Name() string { return "nondet" }
 func (Nondet) Doc() string {
 	return "no nondeterministic value (host clock, global rand, map order, %p, env) may flow into obs exports or experiment tables"
 }
-
-// Severity implements Analyzer.
-func (Nondet) Severity() Severity { return SevError }
 
 // Check implements Analyzer.
 func (nd Nondet) Check(pkg *Package) []Diagnostic {

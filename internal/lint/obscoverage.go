@@ -33,9 +33,6 @@ func (ObsCoverage) Doc() string {
 	return "exported clock-advancing methods in obs-instrumented packages must reach an obs probe (or carry an ignore with a reason)"
 }
 
-// Severity implements Analyzer.
-func (ObsCoverage) Severity() Severity { return SevWarn }
-
 // obsScopes are the instrumented subsystems. internal/obs itself is not
 // listed: probes do not need probes.
 var obsScopes = []string{

@@ -31,9 +31,6 @@ func (SharedWrite) Doc() string {
 	return "goroutine closures may write captured state only via index-slotted slices or channels (the -j1 ≡ -jN contract)"
 }
 
-// Severity implements Analyzer.
-func (SharedWrite) Severity() Severity { return SevError }
-
 // Check implements Analyzer.
 func (s SharedWrite) Check(pkg *Package) []Diagnostic {
 	if pkg.Mod == nil {
@@ -88,7 +85,7 @@ func (s SharedWrite) checkClosure(pkg *Package, info *types.Info, lit *ast.FuncL
 					"goroutine %s captured variable %s; concurrent writes are scheduler-ordered — use an index-slotted slice or a channel", verb, obj.Name()))
 			}
 		case *ast.SelectorExpr:
-			if root := rootCapturedIdent(lhs.X); root != nil {
+			if root := rootIdent(lhs.X); root != nil {
 				if obj, ok := captured(root); ok {
 					out = append(out, diag(pkg, s.Name(), lhs,
 						"goroutine %s field %s of captured %s; concurrent writes are scheduler-ordered — use an index-slotted slice or a channel", verb, lhs.Sel.Name, obj.Name()))
@@ -101,7 +98,7 @@ func (s SharedWrite) checkClosure(pkg *Package, info *types.Info, lit *ast.FuncL
 			}
 			switch deref(t.Underlying()).Underlying().(type) {
 			case *types.Map:
-				if root := rootCapturedIdent(lhs.X); root != nil {
+				if root := rootIdent(lhs.X); root != nil {
 					if obj, ok := captured(root); ok {
 						out = append(out, diag(pkg, s.Name(), lhs,
 							"goroutine %s captured map %s; map writes are unordered shared state — index-slot a slice or use a channel", verb, obj.Name()))
@@ -112,7 +109,7 @@ func (s SharedWrite) checkClosure(pkg *Package, info *types.Info, lit *ast.FuncL
 				// This is the contract's sanctioned shape; nothing to do.
 			}
 		case *ast.StarExpr:
-			if root := rootCapturedIdent(lhs.X); root != nil {
+			if root := rootIdent(lhs.X); root != nil {
 				if obj, ok := captured(root); ok {
 					out = append(out, diag(pkg, s.Name(), lhs,
 						"goroutine %s through captured pointer %s; concurrent writes are scheduler-ordered — use an index-slotted slice or a channel", verb, obj.Name()))
@@ -136,23 +133,4 @@ func (s SharedWrite) checkClosure(pkg *Package, info *types.Info, lit *ast.FuncL
 		return true
 	})
 	return out
-}
-
-// rootCapturedIdent unwraps selectors/indexes/parens/derefs down to the
-// base identifier of an lvalue, or nil.
-func rootCapturedIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch v := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			return v
-		case *ast.SelectorExpr:
-			e = v.X
-		case *ast.IndexExpr:
-			e = v.X
-		case *ast.StarExpr:
-			e = v.X
-		default:
-			return nil
-		}
-	}
 }

@@ -40,9 +40,6 @@ func (SnapCover) Doc() string {
 	return "every stored field of a SnapshotTo/RestoreFrom type must be serialized, restored, or carry a reasoned ignore"
 }
 
-// Severity implements Analyzer.
-func (SnapCover) Severity() Severity { return SevError }
-
 // Check implements Analyzer.
 func (sc SnapCover) Check(pkg *Package) []Diagnostic {
 	if pkg.Mod == nil || pkg.Mod.Graph == nil {

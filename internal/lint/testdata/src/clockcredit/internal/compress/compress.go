@@ -1,6 +1,8 @@
-// Package compress is the crosscredit fixture's codec: its Compress and
+// Package compress is the clockcredit fixture's codec: its Compress and
 // Decompress methods are the chargeable work primitives the analyzer
-// tracks across package boundaries.
+// tracks across package boundaries. The package is outside the
+// analyzer's scope, so the uncharged primitives themselves stay silent:
+// the finding belongs to whoever exports a path to them.
 package compress
 
 // LZ is a toy codec.

@@ -1,17 +1,26 @@
-// Package machine is the crosscredit golden fixture for the scoped
-// exported API: every chain here keeps the codec work in another package,
-// which is exactly the territory the same-package clockcredit analyzer
-// cannot see.
+// Package machine is the clockcredit golden fixture for the scoped
+// exported API. The loader maps this directory to an import path ending
+// in internal/machine, so it stands in for compcache/internal/machine and
+// proves the two headline regressions are caught without editing the real
+// machine package: a wall-clock read injected into the simulation core
+// (injected.go), and simulated work whose cost never reaches the virtual
+// clock — directly, through a helper (credit.go), or through chains that
+// keep the work in another package (this file).
 package machine
 
 import (
-	"compcache/crosscredit/internal/pipeline"
-	"compcache/crosscredit/internal/sim"
+	"compcache/clockcredit/internal/compress"
+	"compcache/clockcredit/internal/disk"
+	"compcache/clockcredit/internal/pipeline"
+	"compcache/clockcredit/internal/sim"
 )
 
-// Machine owns the fixture's clock.
+// Machine owns the fixture's clock and mirrors the real struct's codec
+// and device fields.
 type Machine struct {
-	clock *sim.Clock
+	clock  *sim.Clock
+	codec  compress.LZ
+	direct *disk.Disk
 }
 
 // BadDeep reaches codec work two packages away with no credit on any

@@ -1,5 +1,5 @@
 // Package pipeline sits between the scoped packages and the codec, so the
-// chains crosscredit must follow are genuinely interprocedural: the work
+// chains clockcredit must follow are genuinely interprocedural: the work
 // and the credit both live two calls away from the exported entry points.
 // pipeline itself is outside the analyzer's scope, so its own uncharged
 // Process stays silent here — the finding belongs to whoever exports it.
@@ -8,8 +8,8 @@ package pipeline
 import (
 	"time"
 
-	"compcache/crosscredit/internal/compress"
-	"compcache/crosscredit/internal/sim"
+	"compcache/clockcredit/internal/compress"
+	"compcache/clockcredit/internal/sim"
 )
 
 // Codec is the dispatch seam the interface-resolution case calls through.

@@ -1,4 +1,4 @@
-// Package sim is the crosscredit fixture's miniature virtual clock: the
+// Package sim is the clockcredit fixture's miniature virtual clock: the
 // Advance/AdvanceTo methods are what the analyzer recognizes as credit.
 package sim
 

@@ -1,12 +1,12 @@
-// Package swap is the crosscredit fixture for direct cross-package codec
+// Package swap is the clockcredit fixture for direct cross-package codec
 // calls from a scoped package.
 package swap
 
 import (
 	"time"
 
-	"compcache/crosscredit/internal/compress"
-	"compcache/crosscredit/internal/sim"
+	"compcache/clockcredit/internal/compress"
+	"compcache/clockcredit/internal/sim"
 )
 
 // Store compresses pages on their way to the backing store.

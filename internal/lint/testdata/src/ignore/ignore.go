@@ -33,3 +33,16 @@ func unknownAnalyzer() {
 func stale() int {
 	return 3 //cclint:ignore walltime -- nothing here needs it // want `suppresses nothing`
 }
+
+// partlyStale names two analyzers but only walltime fires on the line:
+// the idle maprange name is reported on its own, while the walltime
+// finding stays suppressed.
+func partlyStale() int64 {
+	return time.Now().UnixNano() //cclint:ignore walltime,maprange -- fixture: only walltime fires here // want `ignore directive for "maprange" suppresses nothing`
+}
+
+// nameless gives a reason but names no analyzer: it can never suppress
+// anything.
+func nameless() int {
+	return 4 //cclint:ignore -- fixture: no analyzer named // want `names no analyzer`
+}

@@ -1,6 +1,8 @@
-// Package fo is the floatorder golden fixture: float reductions in the
-// two positions Go leaves unordered, next to their deterministic fixes.
-package fo
+package mr
+
+// Float reductions over map iteration, next to their deterministic
+// fixes. Float addition is not associative, so a sum in random map order
+// can differ in its last bits from run to run.
 
 import "sort"
 
@@ -59,44 +61,4 @@ func goodLocalReset(m map[string][]float64) int {
 		}
 	}
 	return n
-}
-
-// badParallel reduces in scheduler order; sharedwrite objects to the
-// captured write too — one line, two broken contracts.
-func badParallel(vs []float64) float64 {
-	sum := 0.0
-	done := make(chan struct{}, len(vs))
-	for _, v := range vs {
-		v := v
-		go func() {
-			sum += v // want `float accumulation across goroutines` `goroutine writes captured variable sum`
-			done <- struct{}{}
-		}()
-	}
-	for range vs {
-		<-done
-	}
-	return sum
-}
-
-// goodPartials index-slots per-goroutine partial sums and reduces after
-// the join, in index order.
-func goodPartials(vs []float64) float64 {
-	parts := make([]float64, len(vs))
-	done := make(chan struct{}, len(vs))
-	for i, v := range vs {
-		i, v := i, v
-		go func() {
-			parts[i] = v
-			done <- struct{}{}
-		}()
-	}
-	for range vs {
-		<-done
-	}
-	total := 0.0
-	for _, p := range parts {
-		total += p
-	}
-	return total
 }
