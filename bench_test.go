@@ -8,6 +8,7 @@ package compcache
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -295,6 +296,49 @@ func BenchmarkSteadyStatePaging(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				s.Touch(int32(i)%pages, false)
+			}
+		})
+	}
+}
+
+// BenchmarkCleanReevictionPaging measures the read-only cycle through the
+// backing store: a working set that does not fit in memory even compressed
+// (pages half random, half zero), swept in order, so every touch swaps a
+// page in from the clustered store and re-evicts a clean one by reusing the
+// compressed image kept from its swap-in instead of running the codec.
+// allocs/op must stay at zero (pinned by
+// TestSteadyStateSwapReadCycleZeroAllocs in internal/machine).
+func BenchmarkCleanReevictionPaging(b *testing.B) {
+	for _, codecName := range []string{"lzrw1", "lzss", "bdi", "fpc"} {
+		b.Run(codecName, func(b *testing.B) {
+			cfg := Default(benchMB).WithCC()
+			cfg.CC.Codec = codecName
+			m, err := New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := m.NewSegment("bench", 1024*4096)
+			pages := s.Pages()
+			rng := rand.New(rand.NewSource(1))
+			page := make([]byte, 4096)
+			for p := int32(0); p < pages; p++ {
+				rng.Read(page[:2048])
+				s.Write(int64(p)*4096, page)
+			}
+			for pass := 0; pass < 3; pass++ { // reach the swap-in steady state
+				for p := int32(0); p < pages; p++ {
+					s.Touch(p, false)
+				}
+			}
+			b.SetBytes(4096)
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.Touch(int32(i)%pages, false)
+			}
+			b.StopTimer()
+			if err := m.Err(); err != nil {
+				b.Fatal(err)
 			}
 		})
 	}

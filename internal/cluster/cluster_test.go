@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -126,6 +127,78 @@ func TestFleetRoundTrip(t *testing.T) {
 	}
 	if c.Run() != c.Kernel.Now() {
 		t.Fatal("idle re-run moved the fleet clock")
+	}
+}
+
+// TestFleetCleanReevictionIntegrity runs a read-mostly fleet whose pages
+// compress to about half a page, so clean pages come back from the page
+// server as compressed blocks and are re-evicted through their compressed
+// image, and incompressible ones travel through fleet memory. Every page is
+// read back whole and checked against a hash of what was written — a stale
+// or misattributed image would hand back the wrong bytes — and every member
+// passes CheckInvariants after each sweep. The fleet's caches take every
+// compressed eviction, so fleet memory only ever holds raw pages; the
+// compressed remote fetch is covered by TestRemoteFetchCapturesImage in
+// internal/machine.
+func TestFleetCleanReevictionIntegrity(t *testing.T) {
+	const pages = 384
+	c, err := cluster.New(cluster.Config{
+		Machines:       2,
+		MemoryBytes:    64 * 4096,
+		Link:           netdev.Ethernet10(),
+		Seed:           5,
+		DonationFrames: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, c.Size())
+	for i := 0; i < c.Size(); i++ {
+		i := i
+		c.Go(i, func(m *machine.Machine) {
+			ps := int64(m.Config().PageSize)
+			s := m.NewSegment("fleet", pages*ps)
+			rng := rand.New(rand.NewSource(c.SeedFor(i)))
+			buf := make([]byte, ps)
+			sums := make([][sha256.Size]byte, pages)
+			for p := range sums {
+				clear(buf)
+				for blk := 0; blk+64 <= len(buf); blk += 64 {
+					if rng.Intn(2) == 0 || p%8 == 0 { // every eighth page incompressible
+						rng.Read(buf[blk : blk+64])
+					}
+				}
+				s.Write(int64(p)*ps, buf)
+				sums[p] = sha256.Sum256(buf)
+			}
+			for pass := 0; pass < 3 && errs[i] == nil; pass++ {
+				for _, p := range rng.Perm(pages) {
+					s.Read(int64(p)*ps, buf)
+					if err := m.Err(); err != nil {
+						errs[i] = err
+						return
+					}
+					if sha256.Sum256(buf) != sums[p] {
+						errs[i] = fmt.Errorf("pass %d: page %d read back different bytes", pass, p)
+						return
+					}
+				}
+				errs[i] = m.CheckInvariants()
+			}
+		})
+	}
+	c.Run()
+	var remoteIns, swapIns uint64
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("machine %d: %v", i, err)
+		}
+		st := c.Machine(i).Stats()
+		remoteIns += st.VM.RemoteIns
+		swapIns += st.VM.SwapIns
+	}
+	if remoteIns == 0 || swapIns == 0 {
+		t.Fatalf("fleet missed a paging path: %d remote-ins, %d swap-ins", remoteIns, swapIns)
 	}
 }
 

@@ -163,6 +163,7 @@ func (f *EffectFacts) Of(fn *types.Func) *FnEffects { return f.fns[fn] }
 var pooledAllocFns = map[string]map[string]bool{
 	"internal/cluster": {"newEntry": true, "newTier": true},
 	"internal/core":    {"slabGet": true, "newEntry": true, "newFrame": true},
+	"internal/machine": {"imageBuf": true},
 	"internal/policy":  {"scratch": true},
 	"internal/swap":    {"newSegment": true},
 }

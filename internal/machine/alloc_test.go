@@ -59,3 +59,38 @@ func TestSteadyStateDirtyRewriteZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSteadyStateSwapReadCycleZeroAllocs pins the read-only cycle through
+// the backing store: a half-random working set too large for memory even
+// compressed, swept in order, so every touch swaps a page in from the
+// clustered store (capturing its compressed image) and re-evicts a clean
+// page by copying its image instead of compressing.
+func TestSteadyStateSwapReadCycleZeroAllocs(t *testing.T) {
+	m := newMachine(t, Default(mb).WithCC())
+	s := m.NewSegment("heap", 1024*4096)
+	fillHalfRandom(s, 1)
+	for pass := 0; pass < 3; pass++ {
+		for p := int32(0); p < s.Pages(); p++ {
+			s.Touch(p, false)
+		}
+	}
+	swapIns, hits := m.VM.Stats().SwapIns, m.imageHits
+	p := int32(0)
+	n := testing.AllocsPerRun(2000, func() {
+		s.Touch(p, false)
+		p = (p + 1) % s.Pages()
+	})
+	if n != 0 {
+		t.Errorf("steady-state swap read cycle allocates %v times per touch", n)
+	}
+	if m.VM.Stats().SwapIns == swapIns || m.imageHits == hits {
+		t.Fatalf("cycle missed the swap-in or image path: %d swap-ins, %d image hits",
+			m.VM.Stats().SwapIns-swapIns, m.imageHits-hits)
+	}
+	if err := m.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -68,6 +68,17 @@ type Machine struct {
 	compBuf []byte       // codec.Compress destination, reused across calls
 	nbrBuf  []byte       // clustered-read neighbor staging (corrupt+verify)
 	itemBuf [1]swap.Item // single-item WriteCluster batches
+
+	// Compressed images of resident clean pages. A page paged in from a
+	// compressed block that decompressInto verified keeps a copy of that
+	// block until it is modified or leaves residency; re-evicting it copies
+	// the image instead of running the codec, which is deterministic and
+	// would produce the same bytes. Host-side only: the virtual charge is
+	// unchanged. Buffers (capacity keepThreshold, the largest block PageOut
+	// ever produces) are recycled through imageFree.
+	images    map[swap.PageKey][]byte
+	imageFree [][]byte
+	imageHits uint64 // PageOuts served from an image instead of the codec
 }
 
 // New builds a machine from the configuration. Options attach the machine to
@@ -179,6 +190,7 @@ func buildMachine(cfg Config, img *fs.Image, opts []Option) (*Machine, error) {
 			return nil, err
 		}
 		m.compBuf = make([]byte, 0, m.codec.MaxCompressedSize(cfg.PageSize))
+		m.images = make(map[swap.PageKey][]byte)
 		m.CC = core.New(cfg.CC.Core, m.Clock, m.Pool)
 		m.CC.SetHooks(m.flushEntries, m.entryDropped)
 		m.CC.SetObserver(m.bus)
@@ -539,6 +551,7 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 	// a page-table update, no compression (§4.1's retained compressed
 	// copies; this is what keeps read-mostly working sets cheap).
 	if !p.Dirty && m.CC.Has(p.Key) {
+		m.dropImage(p.Key)
 		p.State = vm.Compressed
 		return nil
 	}
@@ -550,8 +563,16 @@ func (m *Machine) PageOut(p *vm.Page, data []byte) error {
 	m.comp.BytesIn += uint64(len(data))
 	// Compress into the machine scratch buffer: Insert copies into a
 	// cache-owned slab and WriteCluster serializes before returning, so the
-	// buffer is free again by the time this call ends.
-	cdata := m.codecFor(p.Key.Seg).Compress(m.compBuf[:0], data)
+	// buffer is free again by the time this call ends. A clean page with an
+	// image skips the codec: its contents are the image's decoded bytes.
+	var cdata []byte
+	if img, ok := m.images[p.Key]; ok && !p.Dirty {
+		cdata = append(m.compBuf[:0], img...)
+		m.imageHits++
+	} else {
+		cdata = m.codecFor(p.Key.Seg).Compress(m.compBuf[:0], data)
+	}
+	m.dropImage(p.Key) // the page leaves residency on every path below
 	m.compBuf = cdata[:0]
 	m.comp.BytesOut += uint64(len(cdata))
 
@@ -640,6 +661,7 @@ func (m *Machine) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
 				// entry (see Dirtied).
 				p.Dirty = false
 				p.SwapValid = !entryDirty
+				m.keepImage(p.Key, cdata)
 				return vm.SrcCC, nil
 			}
 			// The in-memory fragment is corrupt. Drop the entry; if the
@@ -705,6 +727,7 @@ func (m *Machine) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
 					Err:    derr,
 				}
 			}
+			m.keepImage(p.Key, payload)
 		} else {
 			m.Clock.Advance(m.cfg.Cost.PageCopy)
 			if core.Checksum(payload) != sum {
@@ -746,6 +769,7 @@ func (m *Machine) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
 				Err:    derr,
 			}
 		}
+		m.keepImage(p.Key, payload)
 	} else {
 		m.Clock.Advance(m.cfg.Cost.PageCopy)
 		if core.Checksum(payload) != sum {
@@ -823,6 +847,7 @@ func (m *Machine) insertNeighbors(neighbors []swap.Neighbor) {
 func (m *Machine) Dirtied(p *vm.Page) {
 	if m.CC != nil {
 		m.CC.Drop(p.Key)
+		m.dropImage(p.Key)
 	}
 	if m.clustered != nil {
 		m.clustered.Invalidate(p.Key)
@@ -962,6 +987,38 @@ func (m *Machine) decompressInto(data, cdata []byte, sum uint32, key swap.PageKe
 	return nil
 }
 
+// keepImage records cdata, a block decompressInto has just verified and
+// decoded into the frame of the page key, as that page's compressed image.
+// Every path out of residency drops the image first, so key has none yet.
+func (m *Machine) keepImage(key swap.PageKey, cdata []byte) {
+	if len(cdata) > m.cfg.keepThreshold() {
+		// Larger than any block this machine's PageOut produces (media
+		// written under another threshold); it cannot be an image.
+		return
+	}
+	buf := m.imageBuf(len(cdata))
+	copy(buf, cdata)
+	m.images[key] = buf
+}
+
+// imageBuf returns an n-byte image buffer, recycled when possible.
+func (m *Machine) imageBuf(n int) []byte {
+	if k := len(m.imageFree); k > 0 {
+		buf := m.imageFree[k-1]
+		m.imageFree = m.imageFree[:k-1]
+		return buf[:n]
+	}
+	return make([]byte, n, m.cfg.keepThreshold())
+}
+
+// dropImage discards the page's image, if it has one, recycling the buffer.
+func (m *Machine) dropImage(key swap.PageKey) {
+	if buf, ok := m.images[key]; ok {
+		delete(m.images, key)
+		m.imageFree = append(m.imageFree, buf)
+	}
+}
+
 // CheckInvariants validates cross-subsystem invariants; tests call it after
 // stressing a machine.
 func (m *Machine) CheckInvariants() error {
@@ -981,10 +1038,18 @@ func (m *Machine) CheckInvariants() error {
 			return err
 		}
 	}
-	// Every page's state must agree with the subsystem actually holding it.
+	// Every page's state must agree with the subsystem actually holding it,
+	// and only clean resident pages may hold a compressed image.
+	images := 0
 	for _, seg := range m.VM.Segments() {
 		for i := int32(0); i < seg.NPages; i++ {
 			p := seg.Page(i)
+			if _, ok := m.images[p.Key]; ok {
+				images++
+				if p.State != vm.Resident || p.Dirty {
+					return fmt.Errorf("machine: page %v (%v, dirty %v) has a compressed image", p.Key, p.State, p.Dirty)
+				}
+			}
 			switch p.State {
 			case vm.Compressed:
 				if m.CC == nil || !m.CC.Has(p.Key) {
@@ -1003,6 +1068,9 @@ func (m *Machine) CheckInvariants() error {
 				}
 			}
 		}
+	}
+	if images != len(m.images) {
+		return fmt.Errorf("machine: %d compressed images for unknown pages", len(m.images)-images)
 	}
 	return nil
 }
