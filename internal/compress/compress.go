@@ -31,6 +31,18 @@ import (
 // dst's backing array beyond len(dst). The machine's hot path hands every
 // codec a per-machine scratch buffer, so this is a load-bearing contract,
 // enforced by FuzzCompressDirtyScratch.
+//
+// Decompress(dst, src) may use dst[len(dst):cap(dst)] as scratch: bytes
+// there past the returned slice's end may be overwritten (LZRW1's word-wide
+// moves run up to 7 bytes ahead of the output). It must never write past
+// cap(dst), and it must never read a byte of dst's backing array that it
+// has not written in the same call. A caller that needs bytes after a
+// window kept intact decodes into a three-index slice capped at the
+// window's end. Every decode path does, or owns its buffer: the machine's
+// page-in and the file system's compressed block cache decode into frames
+// from mem.Pool.Bytes, which caps each frame at the page size, and
+// DecompressStream owns its plain buffer.
+// FuzzCompressDirtyScratch and TestDecompressStaysInWindow enforce it.
 type Codec interface {
 	// Name reports the registry name of the codec, e.g. "lzrw1".
 	Name() string

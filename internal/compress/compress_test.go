@@ -293,31 +293,6 @@ func TestRLELongLiteralSpan(t *testing.T) {
 
 // Fuzz targets for the LZ codecs live in fuzz_test.go.
 
-func BenchmarkLZRW1CompressText(b *testing.B) {
-	src := []byte(strings.Repeat("memory compression cache paging sprite kernel ", 100))[:4096]
-	var c LZRW1
-	b.SetBytes(int64(len(src)))
-	var dst []byte
-	for i := 0; i < b.N; i++ {
-		dst = c.Compress(dst[:0], src)
-	}
-}
-
-func BenchmarkLZRW1DecompressText(b *testing.B) {
-	src := []byte(strings.Repeat("memory compression cache paging sprite kernel ", 100))[:4096]
-	var c LZRW1
-	comp := c.Compress(nil, src)
-	b.SetBytes(int64(len(src)))
-	var dst []byte
-	for i := 0; i < b.N; i++ {
-		var err error
-		dst, err = c.Decompress(dst[:0], comp)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestLZSSBeatsLZRW1OnText(t *testing.T) {
 	// The asymmetric codec's reason to exist: better ratios on real text.
 	text := []byte(strings.Repeat("the compression cache uses some memory to store data in compressed format so the working set of a large application fits in small memory ", 60))[:4096]

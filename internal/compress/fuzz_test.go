@@ -3,6 +3,7 @@ package compress
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -23,18 +24,26 @@ import (
 const fuzzPageSize = 4096
 
 func fuzzSeeds(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0})
-	f.Add([]byte("a"))
-	f.Add([]byte(strings.Repeat("the compression cache extends physical memory ", 90)))
-	f.Add(bytes.Repeat([]byte{0}, fuzzPageSize))
-	f.Add(bytes.Repeat([]byte{0xAA, 0x55}, 2048))
+	for _, p := range fuzzSeedPages() {
+		f.Add(p)
+	}
+}
+
+func fuzzSeedPages() [][]byte {
 	// An incompressible-looking ramp.
 	ramp := make([]byte, fuzzPageSize)
 	for i := range ramp {
 		ramp[i] = byte(i*7 + i>>8)
 	}
-	f.Add(ramp)
+	return [][]byte{
+		{},
+		{0},
+		[]byte("a"),
+		[]byte(strings.Repeat("the compression cache extends physical memory ", 90)),
+		bytes.Repeat([]byte{0}, fuzzPageSize),
+		bytes.Repeat([]byte{0xAA, 0x55}, 2048),
+		ramp,
+	}
 }
 
 func fuzzRoundTrip(f *testing.F, c Codec) {
@@ -101,12 +110,13 @@ func FuzzLZSSCorrupt(f *testing.F)    { fuzzCorrupt(f, LZSS{}) }
 func FuzzBDICorrupt(f *testing.F)     { fuzzCorrupt(f, BDI{}) }
 func FuzzFPCCorrupt(f *testing.F)     { fuzzCorrupt(f, FPC{}) }
 
-// FuzzCompressDirtyScratch checks the recycled-dst contract documented on
+// FuzzCompressDirtyScratch checks the recycled-dst contracts documented on
 // Codec: compressing into a zero-length slice whose backing array is full of
-// garbage must produce exactly the bytes of a fresh compression. The machine
-// reuses one scratch buffer for every page it compresses, so a codec that
-// reads stale dst bytes beyond len(dst) would silently corrupt pages in a
-// data-dependent, hard-to-reproduce way.
+// garbage must produce exactly the bytes of a fresh compression, and
+// decoding the result into such a slice must match a fresh decode. The
+// machine reuses one scratch buffer for every page it compresses, so a codec
+// that reads stale dst bytes beyond len(dst) would silently corrupt pages in
+// a data-dependent, hard-to-reproduce way.
 func FuzzCompressDirtyScratch(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, p []byte) {
@@ -127,6 +137,60 @@ func FuzzCompressDirtyScratch(f *testing.F) {
 			if !bytes.Equal(clean, dirty) {
 				t.Fatalf("%s: dirty-scratch compression differs: clean %d bytes, dirty %d bytes",
 					c.Name(), len(clean), len(dirty))
+			}
+			// Decompress may use dst's spare capacity as scratch but never
+			// read a byte it has not written: decoding into garbage must
+			// match a fresh decode.
+			fresh, err := c.Decompress(nil, clean)
+			if err != nil {
+				t.Fatalf("%s: decode: %v", c.Name(), err)
+			}
+			plain := bytes.Repeat([]byte{0xFF}, 2*fuzzPageSize)
+			got, err := c.Decompress(plain[:0], clean)
+			if err != nil || !bytes.Equal(got, fresh) {
+				t.Fatalf("%s: dirty-scratch decode differs: fresh %d bytes, dirty %d bytes (err %v)",
+					c.Name(), len(fresh), len(got), err)
+			}
+		}
+	})
+}
+
+// FuzzLZRW1MatchesReference pins the LZRW1 kernels to the byte-at-a-time
+// reference in lzrw1_ref_test.go. Compress must emit the reference's bytes
+// for any input up to two pages, appended after a non-empty dst prefix.
+// Decompress of arbitrary bytes, into a dst with a prefix and spare
+// capacity chosen by the fuzzer (which decides between the group fast path
+// and the per-item path), must fail with the reference's error or return
+// the reference's bytes. The compressed output is decoded the same way, so
+// well-formed blocks reach the fast path too.
+func FuzzLZRW1MatchesReference(f *testing.F) {
+	for i, p := range fuzzSeedPages() {
+		f.Add(p, uint8(i), uint16(fuzzPageSize+8*i))
+		f.Add(LZRW1{}.Compress(nil, p), uint8(i), uint16(fuzzPageSize))
+	}
+	f.Fuzz(func(t *testing.T, p []byte, prefix uint8, spare uint16) {
+		if len(p) > 2*fuzzPageSize {
+			p = p[:2*fuzzPageSize]
+		}
+		pre := bytes.Repeat([]byte{prefix}, 1+int(prefix)%32)
+		want := lzrw1RefCompress(bytes.Clone(pre), p)
+		got := LZRW1{}.Compress(bytes.Clone(pre), p)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("Compress of %d bytes: %d bytes differ from the reference's %d", len(p), len(got), len(want))
+		}
+		newDst := func() []byte {
+			d := make([]byte, len(pre), len(pre)+int(spare)%(3*fuzzPageSize))
+			copy(d, pre)
+			return d
+		}
+		for _, block := range [][]byte{p, got[len(pre):]} {
+			wantOut, wantErr := lzrw1RefDecompress(newDst(), block)
+			gotOut, gotErr := LZRW1{}.Decompress(newDst(), block)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("Decompress error %v, reference %v", gotErr, wantErr)
+			}
+			if !bytes.Equal(gotOut, wantOut) {
+				t.Fatalf("Decompress returned %d bytes differing from the reference's %d", len(gotOut), len(wantOut))
 			}
 		}
 	})

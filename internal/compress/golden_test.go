@@ -154,3 +154,95 @@ func TestGoldenCodecVectors(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCodecGoldenPages measures every registered codec in both
+// directions over the golden Table 1 pages, decoding into a page-sized
+// buffer the way the machine's fault path does. Each iteration covers all
+// pages; ns/page is the per-page cost. Both directions run without
+// allocating (TestCodecZeroAllocs enforces it).
+func BenchmarkCodecGoldenPages(b *testing.B) {
+	data, err := os.ReadFile(goldenPages)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const pageSize = 4096
+	pages := len(data) / pageSize
+	perPage := func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pages), "ns/page")
+	}
+	for _, name := range Names() {
+		c, _ := Lookup(name)
+		blocks := make([][]byte, pages)
+		for i := range blocks {
+			blocks[i] = c.Compress(nil, data[i*pageSize:(i+1)*pageSize])
+		}
+		b.Run(name+"/compress", func(b *testing.B) {
+			dst := make([]byte, 0, c.MaxCompressedSize(pageSize))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				for i := 0; i < pages; i++ {
+					dst = c.Compress(dst[:0], data[i*pageSize:(i+1)*pageSize])
+				}
+			}
+			perPage(b)
+		})
+		b.Run(name+"/decompress", func(b *testing.B) {
+			dst := make([]byte, 0, pageSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				for _, blk := range blocks {
+					out, err := c.Decompress(dst[:0], blk)
+					if err != nil {
+						b.Fatal(err)
+					}
+					dst = out
+				}
+			}
+			perPage(b)
+		})
+	}
+}
+
+// TestDecompressStaysInWindow pins the write half of the Decompress scratch
+// rule on Codec: decoding into a three-index window of a larger buffer,
+// after a prefix, never writes past the window's capacity, whether the
+// window has room for the page, room for the page plus a fast-path group,
+// or too little room (the codec must then grow into a new array). Damaged
+// blocks, which may fail or decode to the wrong length, must stay inside
+// the window too.
+func TestDecompressStaysInWindow(t *testing.T) {
+	data, err := os.ReadFile(goldenPages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pageSize, pad, sentinel = 4096, 64, 0xA5
+	prefix := []byte("prefix")
+	for _, name := range Names() {
+		c, _ := Lookup(name)
+		for i := 0; i < len(data)/pageSize; i++ {
+			page := data[i*pageSize : (i+1)*pageSize]
+			block := c.Compress(nil, page)
+			damaged := bytes.Clone(block)
+			damaged[len(damaged)/2] ^= 0x5A
+			for _, capacity := range []int{len(prefix) + pageSize, len(prefix) + pageSize + 512, pageSize / 2} {
+				for k, blk := range [][]byte{block, damaged, block[:len(block)*2/3]} {
+					buf := bytes.Repeat([]byte{sentinel}, pad+capacity+pad)
+					window := buf[pad : pad+len(prefix) : pad+capacity]
+					copy(window, prefix)
+					out, err := c.Decompress(window, blk)
+					for j, b := range buf {
+						if (j < pad || j >= pad+capacity) && b != sentinel {
+							t.Fatalf("%s page %d, capacity %d: byte %d outside the window overwritten", name, i, capacity, j-pad)
+						}
+					}
+					if k == 0 && (err != nil || !bytes.Equal(out, append(bytes.Clone(prefix), page...))) {
+						t.Fatalf("%s page %d, capacity %d: decode into the window failed (err %v)", name, i, capacity, err)
+					}
+				}
+			}
+		}
+	}
+}

@@ -137,8 +137,10 @@ type FlushFunc func(items []swap.Item) error
 
 // DropFunc is called when a live clean entry is discarded during frame
 // reclamation, so the owner can account that the page now lives only on the
-// backing store.
-type DropFunc func(key swap.PageKey)
+// backing store. data and sum are the entry's block and its insertion
+// checksum; data is recycled when the hook returns, so an owner that wants
+// the block must copy it.
+type DropFunc func(key swap.PageKey, data []byte, sum uint32)
 
 // Cache is the compression cache.
 type Cache struct {
@@ -600,16 +602,20 @@ func (c *Cache) Clean() (int, error) {
 	return len(batch), nil
 }
 
-// ReclaimableFrames reports how many frames could be released right now
-// without any I/O.
-func (c *Cache) ReclaimableFrames() int {
-	n := 0
+// ReclaimableAtLeast reports whether at least n frames could be released
+// right now without any I/O. It stops scanning once it has found n, so the
+// cleaner's reserve check costs little when the reserve is met early in
+// the ring. It is true for n <= 0.
+func (c *Cache) ReclaimableAtLeast(n int) bool {
 	for _, f := range c.frames {
+		if n <= 0 {
+			break
+		}
 		if f.reclaimable() {
-			n++
+			n--
 		}
 	}
-	return n
+	return n <= 0
 }
 
 // Prefill grows the cache to k empty frames, taking them from the pool.
@@ -670,7 +676,10 @@ func (c *Cache) reclaimFirstExcept(skip *ccFrame) bool {
 			}
 			// Live clean entry: drop it. It may span into a neighbouring
 			// frame; dropping is still correct since the backing store has
-			// the contents.
+			// the contents. The hook runs first, while e.Data is intact.
+			if c.onDrop != nil {
+				c.onDrop(e.Key, e.Data, e.Sum)
+			}
 			c.kill(e)
 			c.st.Dropped++
 			if c.bus.Enabled(obs.ClassCCEvict) {
@@ -678,9 +687,6 @@ func (c *Cache) reclaimFirstExcept(skip *ccFrame) bool {
 					T: c.clock.Now(), Class: obs.ClassCCEvict, Sub: obs.SubCore,
 					Seg: e.Key.Seg, Page: e.Key.Page, Aux: 1,
 				})
-			}
-			if c.onDrop != nil {
-				c.onDrop(e.Key)
 			}
 		}
 		c.frames = append(c.frames[:i], c.frames[i+1:]...)

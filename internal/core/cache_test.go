@@ -243,7 +243,12 @@ func TestCleanWithoutHook(t *testing.T) {
 func TestReleaseOldestDropsCleanEntries(t *testing.T) {
 	c, pool, _ := newTestCache(t, 8, DefaultParams())
 	var dropped []swap.PageKey
-	c.SetHooks(noFlush, func(k swap.PageKey) { dropped = append(dropped, k) })
+	c.SetHooks(noFlush, func(k swap.PageKey, data []byte, sum uint32) {
+		if !c.Has(k) || Checksum(data) != sum {
+			t.Errorf("drop hook for %v called without the live entry's block", k)
+		}
+		dropped = append(dropped, k)
+	})
 	for i := int32(0); i < 3; i++ {
 		insert(t, c, key(i), blob(int64(i), 1200), false) // clean inserts
 	}
@@ -372,13 +377,28 @@ func TestDrop(t *testing.T) {
 	}
 }
 
-func TestReclaimableFrames(t *testing.T) {
+func TestReclaimableAtLeast(t *testing.T) {
 	c, _, _ := newTestCache(t, 8, DefaultParams())
 	usable := 4096 - 24 - 36
+	// Frames 0 and 2 hold one clean entry each, frame 1 a dirty one: two
+	// reclaimable frames, with the dirty frame between them.
 	insert(t, c, key(0), blob(1, usable), false)
 	insert(t, c, key(1), blob(2, usable), true)
-	if got := c.ReclaimableFrames(); got != 1 {
-		t.Fatalf("ReclaimableFrames = %d, want 1", got)
+	insert(t, c, key(2), blob(3, usable), false)
+	for _, tc := range []struct {
+		n    int
+		want bool
+	}{
+		{-3, true},
+		{0, true},
+		{1, true},
+		{2, true},
+		{3, false},
+		{8, false},
+	} {
+		if got := c.ReclaimableAtLeast(tc.n); got != tc.want {
+			t.Errorf("ReclaimableAtLeast(%d) = %v, want %v", tc.n, got, tc.want)
+		}
 	}
 }
 
@@ -390,7 +410,10 @@ func TestCacheChurn(t *testing.T) {
 	shadowDirty := make(map[swap.PageKey]bool)
 	c.SetHooks(
 		noFlush,
-		func(k swap.PageKey) {
+		func(k swap.PageKey, data []byte, sum uint32) {
+			if !bytes.Equal(data, shadow[k]) || sum != Checksum(data) {
+				t.Errorf("drop hook for %v: block does not match the entry", k)
+			}
 			delete(shadow, k)
 			delete(shadowDirty, k)
 		})

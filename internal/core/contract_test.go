@@ -23,7 +23,7 @@ func TestFailedInsertAtCapHasNoSideEffects(t *testing.T) {
 	params.MaxFrames = 2
 	c, pool, _ := newTestCache(t, 2, params)
 	drops := 0
-	c.SetHooks(nil, func(swap.PageKey) { drops++ })
+	c.SetHooks(nil, func(swap.PageKey, []byte, uint32) { drops++ })
 
 	// Frame 0: one clean (reclaimable) entry. Frame 1: one dirty entry that
 	// cannot be cleaned (no flush hook). Pool is now empty.
@@ -73,7 +73,7 @@ func TestFailedInsertDoesNotFlush(t *testing.T) {
 	params.MaxFrames = 2
 	c, pool, _ := newTestCache(t, 2, params)
 	flushes, drops := 0, 0
-	c.SetHooks(func(items []swap.Item) error { flushes++; return nil }, func(swap.PageKey) { drops++ })
+	c.SetHooks(func(items []swap.Item) error { flushes++; return nil }, func(swap.PageKey, []byte, uint32) { drops++ })
 
 	// Frame 0: full and dirty. Frame 1 (tail): a clean entry leaving 36
 	// spare bytes. Pool empty.

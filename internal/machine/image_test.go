@@ -10,6 +10,7 @@ import (
 
 	"compcache/internal/fault"
 	"compcache/internal/swap"
+	"compcache/internal/vm"
 )
 
 // fillHalfRandom gives every page of the space a random first half, a zero
@@ -276,5 +277,52 @@ func TestRemoteFetchCapturesImage(t *testing.T) {
 	}
 	if captured == 0 || m.imageHits == 0 {
 		t.Fatalf("remote capture not exercised: %d captures, %d image hits", captured, m.imageHits)
+	}
+}
+
+// TestReclaimCapturesImage covers the cache-entry capture point: a cache
+// hit keeps the entry and takes no image, and when core later reclaims that
+// entry while the page is still resident, the entry's block becomes the
+// page's image.
+func TestReclaimCapturesImage(t *testing.T) {
+	m := newMachine(t, Default(mb).WithCC())
+	s := m.NewSegment("heap", 384*4096)
+	fillHalfRandom(s, 1)
+	p := int32(-1)
+	for i := int32(0); i < s.Pages(); i++ {
+		if s.seg.Page(i).State == vm.Compressed {
+			p = i
+			break
+		}
+	}
+	if p < 0 {
+		t.Fatal("no page in the compression cache")
+	}
+	if got := s.ReadWord(int64(p) * 4096); got != imageTag(p) {
+		t.Fatalf("page %d read %#x, want %#x", p, got, imageTag(p))
+	}
+	pg := s.seg.Page(p)
+	if pg.State != vm.Resident || !m.CC.Has(pg.Key) {
+		t.Fatalf("page %d after a cache hit: state %v, entry retained %v", p, pg.State, m.CC.Has(pg.Key))
+	}
+	if _, ok := m.images[pg.Key]; ok {
+		t.Fatal("a cache hit captured an image while its entry is still live")
+	}
+	for m.CC.Has(pg.Key) {
+		if ok, err := m.CC.ReleaseOldest(); !ok || err != nil {
+			t.Fatalf("ReleaseOldest = %v, %v before reaching the page's entry", ok, err)
+		}
+	}
+	if pg.State != vm.Resident {
+		t.Fatalf("page %d left residency: %v", p, pg.State)
+	}
+	if _, ok := m.images[pg.Key]; !ok {
+		t.Fatal("reclaiming a resident page's entry captured no image")
+	}
+	if err := newImageChecker().check(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -70,12 +70,13 @@ type Machine struct {
 	itemBuf [1]swap.Item // single-item WriteCluster batches
 
 	// Compressed images of resident clean pages. A page paged in from a
-	// compressed block that decompressInto verified keeps a copy of that
-	// block until it is modified or leaves residency; re-evicting it copies
-	// the image instead of running the codec, which is deterministic and
-	// would produce the same bytes. Host-side only: the virtual charge is
-	// unchanged. Buffers (capacity keepThreshold, the largest block PageOut
-	// ever produces) are recycled through imageFree.
+	// compressed swap or remote block that decompressInto verified, or
+	// whose retained cache entry core reclaims while it is resident, keeps
+	// a copy of that block until it is modified or leaves residency;
+	// re-evicting it copies the image instead of running the codec, which
+	// is deterministic and would produce the same bytes. Host-side only:
+	// the virtual charge is unchanged. Buffers (capacity keepThreshold, the
+	// largest block PageOut ever produces) are recycled through imageFree.
 	images    map[swap.PageKey][]byte
 	imageFree [][]byte
 	imageHits uint64 // PageOuts served from an image instead of the codec
@@ -468,7 +469,7 @@ func (m *Machine) maybeClean() {
 		return
 	}
 	guard := 8 // bound cleaning work per trigger
-	for m.Pool.FreeCount()+m.CC.ReclaimableFrames() < m.cfg.CC.CleanReserve && guard > 0 {
+	for !m.CC.ReclaimableAtLeast(m.cfg.CC.CleanReserve-m.Pool.FreeCount()) && guard > 0 {
 		n, err := m.CC.Clean()
 		if err != nil {
 			// A failed cleaner flush is not fatal: the batch stays dirty in
@@ -661,7 +662,6 @@ func (m *Machine) PageIn(p *vm.Page, data []byte) (vm.Source, error) {
 				// entry (see Dirtied).
 				p.Dirty = false
 				p.SwapValid = !entryDirty
-				m.keepImage(p.Key, cdata)
 				return vm.SrcCC, nil
 			}
 			// The in-memory fragment is corrupt. Drop the entry; if the
@@ -933,8 +933,11 @@ func (f fsBlockCache) Invalidate(fileID int32, block int64) {
 // entryDropped is called when frame reclamation discards a live clean entry.
 // If the page lived in the cache it now lives only on the backing store; if
 // it is resident (the entry was a retained copy of an unmodified page), the
-// backing store still holds the same contents.
-func (m *Machine) entryDropped(key swap.PageKey) {
+// backing store still holds the same contents, and the entry's block, once
+// its checksum verifies, becomes the page's compressed image. A resident
+// page whose entry survives needs no image: re-evicting it takes the CC.Has
+// fast path.
+func (m *Machine) entryDropped(key swap.PageKey, cdata []byte, sum uint32) {
 	seg := m.segByID[key.Seg]
 	if seg == nil {
 		return
@@ -949,6 +952,9 @@ func (m *Machine) entryDropped(key swap.PageKey) {
 		// Reclaim only drops clean entries, so the backing store has the
 		// contents.
 		p.SwapValid = true
+		if core.Checksum(cdata) == sum {
+			m.keepImage(key, cdata)
+		}
 	}
 }
 
@@ -987,9 +993,9 @@ func (m *Machine) decompressInto(data, cdata []byte, sum uint32, key swap.PageKe
 	return nil
 }
 
-// keepImage records cdata, a block decompressInto has just verified and
-// decoded into the frame of the page key, as that page's compressed image.
-// Every path out of residency drops the image first, so key has none yet.
+// keepImage records cdata, a verified block that decodes to the contents of
+// the resident page key, as that page's compressed image. Every path out of
+// residency drops the image first, so key has none yet.
 func (m *Machine) keepImage(key swap.PageKey, cdata []byte) {
 	if len(cdata) > m.cfg.keepThreshold() {
 		// Larger than any block this machine's PageOut produces (media
